@@ -1,91 +1,20 @@
 """Hot inner loops: circulant BFS, stabilizer brute force, unit-multiplier scan.
 
-Each kernel exists twice: a plain-loop version compiled with numba, and a
-vectorized numpy version.  The numpy path is selected automatically when
-numba is unavailable, or explicitly with FROBCIRC_NO_NUMBA=1.  Both paths
-are exercised against each other in the test suite and in
-benchmarks/bench_kernels.py.
+One vectorized numpy implementation per kernel.  The tests compare each one
+against a plain-loop oracle (tests/oracles.py).
 
 All kernels take int64 arrays; moduli stay far below 2**31, so products fit
 comfortably in int64.
 """
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("FROBCIRC_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- loop bodies
-
-
-def _bfs_loop(n, conn, source, blocked):
-    dist = np.full(n, -1, np.int64)
-    if blocked[source]:
-        return dist
-    queue = np.empty(n, np.int64)
-    head = 0
-    tail = 0
-    dist[source] = 0
-    queue[tail] = source
-    tail += 1
-    while head < tail:
-        v = queue[head]
-        head += 1
-        for s in conn:
-            u = (v + s) % n
-            if dist[u] < 0 and not blocked[u]:
-                dist[u] = dist[v] + 1
-                queue[tail] = u
-                tail += 1
-    return dist
-
-
-def _semiregular_loop(n, subgroup):
-    for h in subgroup:
-        if h == 1:
-            continue
-        for x in range(1, n):
-            if (h * x) % n == x:
-                return False
-    return True
-
-
-def _multiplier_loop(n, conn_a, conn_b):
-    mask = np.zeros(n, np.bool_)
-    for s in conn_b:
-        mask[s] = True
-    for sigma in range(1, n):
-        a = sigma
-        b = n
-        while b:
-            a, b = b, a % b
-        if a != 1:
-            continue
-        ok = True
-        for s in conn_a:
-            if not mask[(sigma * s) % n]:
-                ok = False
-                break
-        if ok:
-            return sigma
-    return 0
-
-
-# ------------------------------------------------------------- numpy variants
-
-
-def _bfs_numpy(n, conn, source, blocked):
+def bfs_distances(n, conn, source, blocked):
+    """Distances from `source` in Cay(Z_n, conn) minus the blocked vertices;
+    -1 marks an unreached vertex."""
     dist = np.full(n, -1, np.int64)
     if blocked[source]:
         return dist
@@ -101,7 +30,8 @@ def _bfs_numpy(n, conn, source, blocked):
     return dist
 
 
-def _semiregular_numpy(n, subgroup):
+def semiregular_scan(n, subgroup):
+    """Does no non-identity h in `subgroup` fix a nonzero residue mod n?"""
     xs = np.arange(1, n, dtype=np.int64)
     for h in subgroup:
         if h == 1:
@@ -111,7 +41,8 @@ def _semiregular_numpy(n, subgroup):
     return True
 
 
-def _multiplier_numpy(n, conn_a, conn_b):
+def multiplier_scan(n, conn_a, conn_b):
+    """Smallest unit sigma with sigma * conn_a inside conn_b, or 0."""
     mask = np.zeros(n, np.bool_)
     mask[conn_b] = True
     units = np.arange(1, n, dtype=np.int64)
@@ -119,17 +50,3 @@ def _multiplier_numpy(n, conn_a, conn_b):
     hits = mask[(units[:, None] * conn_a[None, :]) % n].all(axis=1)
     idx = np.flatnonzero(hits)
     return int(units[idx[0]]) if idx.size else 0
-
-
-# ------------------------------------------------------------------- dispatch
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    bfs_distances = njit(cache=True)(_bfs_loop)
-    semiregular_scan = njit(cache=True)(_semiregular_loop)
-    multiplier_scan = njit(cache=True)(_multiplier_loop)
-else:
-    BACKEND = "numpy"
-    bfs_distances = _bfs_numpy
-    semiregular_scan = _semiregular_numpy
-    multiplier_scan = _multiplier_numpy

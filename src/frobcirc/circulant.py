@@ -2,8 +2,7 @@
 
 Adjacency is never materialized: a vertex v is adjacent to v + s (mod n) for
 s in the connection set, so BFS works straight off the residue list.  The
-heavy scans live in _kernels and run under numba or numpy depending on the
-environment.
+heavy scans live in _kernels.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ class Circulant:
     n: int
     conn: tuple[int, ...]
     _conn_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    _last_bfs: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 3:
@@ -32,7 +32,8 @@ class Circulant:
         for s in conn:
             if not 1 <= s < self.n:
                 raise ValueError(f"connection element {s} outside [1, {self.n})")
-        if any((self.n - s) % self.n not in set(conn) for s in conn):
+        conn_set = set(conn)
+        if any(self.n - s not in conn_set for s in conn):
             raise ValueError("connection set is not symmetric under negation")
         object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "_conn_arr", np.array(conn, dtype=np.int64))
@@ -42,10 +43,17 @@ class Circulant:
         return len(self.conn)
 
     def _distances(self, source: int, removed=()) -> np.ndarray:
+        """BFS distances from `source` with `removed` blocked.  The last search
+        is kept, so a second query on the same source and removal (a cut
+        verdict, then its witness) costs no second BFS."""
+        key = (source, frozenset(removed))
+        if self._last_bfs is not None and self._last_bfs[0] == key:
+            return self._last_bfs[1]
         blocked = np.zeros(self.n, dtype=np.bool_)
-        for v in removed:
-            blocked[v] = True
-        return _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
+        blocked[list(key[1])] = True
+        dist = _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
+        object.__setattr__(self, "_last_bfs", (key, dist))
+        return dist
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
@@ -53,15 +61,14 @@ class Circulant:
         return sorted((v + s) % self.n for s in self.conn)
 
     def is_connected(self) -> bool:
-        dist = self._distances(0)
-        return bool((dist >= 0).all())
-
-    def is_connected_gcd(self) -> bool:
-        """Arithmetic connectivity criterion: gcd(n, s_1, ..., s_k) = 1."""
+        """Arithmetic connectivity criterion: S generates Z_n, that is,
+        gcd(n, s_1, ..., s_k) = 1."""
         g = self.n
         for s in self.conn:
             g = gcd(g, s)
         return g == 1
+
+    is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
 
     def is_independent_set(self, members) -> bool:
         """No two members adjacent, i.e. no pairwise difference lies in conn."""
@@ -109,9 +116,12 @@ class Circulant:
 def iso_multiplier(g: Circulant, g2: Circulant):
     """Some unit sigma with sigma * g.conn = g2.conn setwise, or None.
 
-    Every subset of Z_n is a CI-subset, so a multiplier exists if and only if
-    the two circulants are isomorphic.  Exhaustive scan over units; intended
-    for desk-scale n.
+    A multiplier is always an isomorphism.  The converse fails in general:
+    Z_n has connection sets that are not CI-subsets (Elspas & Turner 1970;
+    Muzychuk 1997), so None alone does not prove non-isomorphism.  When
+    g.conn lies in Z_n^*, Toida's conjecture (proved by Muzychuk,
+    Klin & Poeschel 2001 and by Dobson & Morris 2002) makes the scan decide
+    isomorphism.  Exhaustive scan over units; intended for desk-scale n.
     """
     if g.n != g2.n:
         raise ValueError(f"moduli differ: {g.n} != {g2.n}")

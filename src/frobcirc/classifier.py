@@ -12,6 +12,7 @@ materialize-and-dedup oracle over all phi(d)^l tuples lives in the tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .circulant import Circulant
@@ -35,8 +36,13 @@ class FrobeniusClass:
     subgroup: tuple[int, ...]
     m_vector: tuple[int, ...]
 
-    def graph(self) -> Circulant:
+    @cached_property
+    def _graph(self) -> Circulant:
         return Circulant(self.n, self.subgroup)
+
+    def graph(self) -> Circulant:
+        """Cay(Z_n, subgroup), built on the first call and kept."""
+        return self._graph
 
 
 def _check_odd(f: Factorization):

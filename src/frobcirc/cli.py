@@ -24,7 +24,7 @@ from .classifier import (
     verify_first_kind_frobenius,
 )
 from .errors import FrobcircError
-from .gamma import blocked_path_witness, build_gamma, verify_theorem_q
+from .gamma import verify_theorem_q
 from .harts import harts_graph, harts_iso_tl, tl_graph
 from .numtheory import factorize
 from .rotation import (
@@ -181,16 +181,16 @@ def cmd_verify(args, out) -> int:
     lines.append("connected: yes")
     rotations = find_all_rotations(g)
     lines.append(f"complete rotations: {rotations if rotations else 'none'}")
-    frobenius = False
+    reports = []
     for w in rotations:
-        rep = rotation_report(n, w)
-        if not rep.fixed:
-            frobenius = True
+        reports.append(rotation_report(n, w))
+        if not reports[-1].fixed:
             break
+    frobenius = bool(reports) and not reports[-1].fixed
     lines.append(f"rotational first-kind Frobenius: {'yes' if frobenius else 'no'}")
     if rotations:
         w = rotations[0]
-        rep = rotation_report(n, w)
+        rep = reports[0]
         lines.append(f"fixed points of {w}: {list(rep.fixed) if rep.fixed else 'empty'}")
         cert = gossip_certificate(g, w)
         if cert.holds:
@@ -219,12 +219,11 @@ def cmd_gamma(args, out) -> int:
         f"fixed set independent: {'yes' if report.independent else 'NO'}",
     ]
     if report.vertex_cut:
-        witness = blocked_path_witness(args.p, args.e, args.r)
-        lines.append(f"F IS a vertex-cut; witness: vertex {witness} unreachable from 0 in Gamma - F")
+        lines.append(
+            f"F IS a vertex-cut; witness: vertex {report.witness} unreachable from 0 in Gamma - F"
+        )
     else:
-        _, g = build_gamma(args.p, args.e, args.r)
-        cert = gossip_certificate(g, spec.h)
-        lines.append(f"F is NOT a vertex-cut; gossip bound {cert.bound}")
+        lines.append(f"F is NOT a vertex-cut; gossip bound {report.gossip_bound}")
     lines.append(f"dichotomy (vertex-cut iff r >= 1): {'ok' if report.dichotomy_ok else 'FAIL'}")
     out.write("\n".join(lines) + "\n")
     return 0 if report.ok else 1

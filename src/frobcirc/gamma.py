@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .circulant import Circulant
 from .errors import ExponentTooSmall, NotACut
-from .numtheory import multiplicative_order
+from .numtheory import factorize, multiplicative_order
 from .rotation import rotation_report
 
 
@@ -26,7 +26,7 @@ class GammaSpec:
 
 
 def _validate(p: int, e: int, r: int):
-    if p == 2 or p < 3:
+    if p < 3 or factorize(p).factors != ((p, 1),):
         raise ValueError(f"p = {p} must be an odd prime")
     if e < 3:
         raise ExponentTooSmall(f"e = {e}; the family needs e >= 3")
@@ -80,6 +80,8 @@ class GammaReport:
     independent: bool
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
+    witness: int | None  # p + 1, unreachable from 0 in Gamma - F, when F is a cut
+    gossip_bound: int | None  # ceil((q-1)/d) for the rotation's order d, when F is not a cut
 
     @property
     def ok(self) -> bool:
@@ -94,10 +96,12 @@ class GammaReport:
 
 def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
-    evaluated even if an early one fails."""
+    evaluated even if an early one fails.  The cut verdict and its witness
+    share one BFS on Gamma - F."""
     spec, g = build_gamma(p, e, r)
     fixed = gamma_fixed_points(spec)
     rep = rotation_report(spec.q, spec.h)
+    vertex_cut = g.is_vertex_cut(fixed)
     # orbit oracle: multiples of p for r <= e-2; the q-cycle rotation -1 at
     # r = e-1 is fixed-point free
     expected_fixed = fixed if r <= e - 2 else ()
@@ -109,9 +113,19 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
         closed_form_ok=g.conn == connection_closed_form(spec),
         fixed_formula_ok=rep.fixed == expected_fixed,
         independent=g.is_independent_set(fixed),
-        vertex_cut=g.is_vertex_cut(fixed),
-        dichotomy_ok=g.is_vertex_cut(fixed) == (r >= 1),
+        vertex_cut=vertex_cut,
+        dichotomy_ok=vertex_cut == (r >= 1),
+        witness=_blocked_vertex(spec, g, fixed) if vertex_cut else None,
+        gossip_bound=None if vertex_cut else -(-(spec.q - 1) // rep.d),
     )
+
+
+def _blocked_vertex(spec: GammaSpec, g: Circulant, fixed) -> int:
+    """p + 1, after checking by BFS that it is unreachable from 0 in Gamma - F."""
+    target = spec.p + 1
+    if target in g.reachable_from(0, fixed):
+        raise AssertionError(f"vertex {target} unexpectedly reachable in Gamma - F")
+    return target
 
 
 def blocked_path_witness(p: int, e: int, r: int) -> int:
@@ -121,8 +135,4 @@ def blocked_path_witness(p: int, e: int, r: int) -> int:
     if r == 0:
         raise NotACut("F is not a vertex-cut when r = 0")
     spec, g = build_gamma(p, e, r)
-    target = p + 1
-    reached = g.reachable_from(0, gamma_fixed_points(spec))
-    if target in reached:
-        raise AssertionError(f"vertex {target} unexpectedly reachable in Gamma - F")
-    return target
+    return _blocked_vertex(spec, g, gamma_fixed_points(spec))

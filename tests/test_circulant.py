@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+from frobcirc import _kernels
+from frobcirc._kernels import bfs_distances
 from frobcirc.circulant import Circulant, iso_multiplier
 from frobcirc.classifier import enumerate_classes, subgroup_of
 from frobcirc.errors import DegenerateCut, Disconnected
@@ -71,7 +73,7 @@ class TestConnectivity:
         rng = random.Random(20240817)
         for _ in range(200):
             g = random_circulant(rng, rng.randrange(4, 501))
-            assert g.is_connected() == g.is_connected_gcd(), (g.n, g.conn)
+            assert g.is_connected() == (len(g.reachable_from(0)) == g.n), (g.n, g.conn)
 
 
 class TestIndependentSet:
@@ -105,6 +107,22 @@ class TestVertexCut:
     def test_requires_connected(self):
         with pytest.raises(Disconnected):
             Circulant(6, (2, 4)).is_vertex_cut([0])
+
+    def test_repeated_query_reuses_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return bfs_distances(*args)
+
+        monkeypatch.setattr(_kernels, "bfs_distances", counted)
+        g = Circulant(27, subgroup_of(8, 27))
+        fixed = range(3, 27, 3)
+        assert g.is_vertex_cut(fixed)
+        assert 4 not in g.reachable_from(0, tuple(fixed))
+        assert calls == [0]
+        assert len(g.reachable_from(1)) == 27  # another source: a new search
+        assert calls == [0, 1]
 
 
 class TestDiameter:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from frobcirc import _kernels
 from frobcirc.cli import main, signed_form
 
 
@@ -84,6 +85,17 @@ class TestClassify:
             assert str(rec["h"]) in line
             assert rec["h_signed"] in line
 
+    def test_large_prime_needs_no_bfs(self, monkeypatch):
+        # connectivity is decided by gcd(n, S), so classify never searches;
+        # the class K_10007 once cost 1.6 GB in a frontier BFS
+        def no_bfs(*args):
+            raise AssertionError("classify ran a BFS")
+
+        monkeypatch.setattr(_kernels, "bfs_distances", no_bfs)
+        code, text = run(["classify", "10007", "--format", "json"])
+        assert code == 0
+        assert [r["d"] for r in json.loads(text)] == [2, 10006]
+
     def test_oracle_flag(self):
         code, text = run(["classify", "91", "--oracle", "--format", "json"])
         assert code == 0
@@ -140,6 +152,12 @@ class TestGamma:
     def test_bad_exponent(self):
         code, _ = run(["gamma", "3", "2", "0"])
         assert code == 2
+
+    def test_composite_p(self, capsys):
+        code, text = run(["gamma", "9", "3", "0"])
+        assert code == 2
+        assert text == ""
+        assert "odd prime" in capsys.readouterr().err
 
 
 class TestHarts:

@@ -2,6 +2,8 @@ from math import gcd
 
 import pytest
 
+from frobcirc import _kernels
+from frobcirc._kernels import bfs_distances
 from frobcirc.errors import ExponentTooSmall, NotACut
 from frobcirc.gamma import (
     blocked_path_witness,
@@ -11,7 +13,7 @@ from frobcirc.gamma import (
     verify_theorem_q,
 )
 from frobcirc.numtheory import multiplicative_order
-from frobcirc.rotation import rotation_report
+from frobcirc.rotation import gossip_certificate, rotation_report
 
 GRID = [
     (p, e, r)
@@ -45,6 +47,11 @@ class TestBuild:
     def test_rejects_even_prime(self):
         with pytest.raises(ValueError):
             build_gamma(2, 3, 0)
+
+    def test_rejects_composite_p(self):
+        for p in (9, 15, 25):
+            with pytest.raises(ValueError, match="odd prime"):
+                build_gamma(p, 3, 0)
 
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
@@ -92,6 +99,25 @@ class TestDichotomy:
         report = verify_theorem_q(p, e, r)
         assert report.ok, report
         assert report.vertex_cut == (r >= 1)
+        assert report.witness == (p + 1 if r >= 1 else None)
+        if r == 0:
+            _, g = build_gamma(p, e, r)
+            assert report.gossip_bound == gossip_certificate(g, report.spec.h).bound
+        else:
+            assert report.gossip_bound is None
+
+    def test_one_bfs_per_instance(self, monkeypatch):
+        # the cut verdict and its witness share one search on Gamma - F
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return bfs_distances(*args)
+
+        monkeypatch.setattr(_kernels, "bfs_distances", counted)
+        for p, e, r in ((3, 4, 0), (3, 4, 1), (5, 3, 2)):
+            verify_theorem_q(p, e, r)
+        assert calls == [81, 81, 125]
 
     def test_counterexample_243(self):
         report = verify_theorem_q(3, 5, 1)
