@@ -71,13 +71,16 @@ class Circulant:
     is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
 
     def is_independent_set(self, members) -> bool:
-        """No two members adjacent, i.e. no pairwise difference lies in conn."""
-        conn = set(self.conn)
-        members = list(members)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if (u - v) % self.n in conn:
-                    return False
+        """No two members adjacent, i.e. no member u has u + s among the
+        members for any s in conn.  Members must be vertices in [0, n)."""
+        members = np.array(list(members), dtype=np.int64)
+        if ((members < 0) | (members >= self.n)).any():
+            raise ValueError(f"member outside [0, {self.n})")
+        mask = np.zeros(self.n, dtype=np.bool_)
+        mask[members] = True
+        for s in self.conn:
+            if mask[(members + s) % self.n].any():
+                return False
         return True
 
     def is_vertex_cut(self, members) -> bool:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 legitimately empty result, 2 input error.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -251,6 +252,7 @@ def cmd_harts(args, out) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobcirc",

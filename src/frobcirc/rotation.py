@@ -7,21 +7,53 @@ the order of w; the free part consists of the full-length orbits.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, gcd
+
+import numpy as np
 
 from .circulant import Circulant
 from .errors import NotARotation, NotAUnit
-from .numtheory import multiplicative_order
+from .numtheory import factorize, multiplicative_order
 
 
 @dataclass(frozen=True)
 class RotationReport:
+    """The <w>-orbit structure of Z_n \\ {0} for a unit w of order d.
+
+    A residue v lies in a short orbit exactly when w^(d/l) v = v for some
+    prime l | d, that is, when v is a multiple of n / gcd(n, w^(d/l) - 1).
+    So F (`fixed`) is the union, over the primes l | d, of those nonzero
+    multiples, and `free` is the rest of Z_n \\ {0}.
+
+    `orbits` is computed on first access and is not a dataclass field, so
+    it takes no part in `==` or `repr`.
+    """
+
     n: int
     w: int
     d: int  # order of w mod n
-    orbits: tuple[tuple[int, ...], ...]  # partition of Z_n \ {0}
     fixed: tuple[int, ...]  # union of short orbits
     free: tuple[int, ...]  # union of length-d orbits
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Partition of Z_n \\ {0} into <w>-orbits, each listed from its
+        least element, in increasing order of that element."""
+        n, w = self.n, self.w
+        seen = [False] * n
+        orbits = []
+        for v in range(1, n):
+            if seen[v]:
+                continue
+            orbit = []
+            x = v
+            while not seen[x]:
+                seen[x] = True
+                orbit.append(x)
+                x = x * w % n
+            orbits.append(tuple(orbit))
+        return tuple(orbits)
 
 
 def _require_unit(n: int, w: int):
@@ -45,35 +77,43 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
 
 
 def rotation_report(n: int, w: int) -> RotationReport:
-    """Decompose Z_n \\ {0} into <w>-orbits and split off the fixed points."""
+    """Split Z_n \\ {0} into the fixed points of w and the free part."""
     _require_unit(n, w)
     w %= n
     d = multiplicative_order(w, n)
-    seen = [False] * n
-    orbits = []
-    fixed = []
-    free = []
-    for v in range(1, n):
-        if seen[v]:
-            continue
-        orbit = []
-        x = v
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = x * w % n
-        orbits.append(tuple(orbit))
-        (free if len(orbit) == d else fixed).extend(orbit)
-    return RotationReport(n, w, d, tuple(orbits), tuple(sorted(fixed)), tuple(sorted(free)))
+    short = np.zeros(n, dtype=np.bool_)
+    for ell in factorize(d).primes:
+        step = n // gcd(n, pow(w, d // ell, n) - 1)
+        short[step::step] = True
+    fixed = np.flatnonzero(short).tolist()
+    free = np.flatnonzero(~short)[1:].tolist()  # 0 is never short; drop it
+    return RotationReport(n, w, d, tuple(fixed), tuple(free))
 
 
 def find_all_rotations(g: Circulant) -> list[int]:
-    """Exhaustive unit scan; empty result means the graph is not rotational.
+    """Every complete rotation of g, ascending; empty means not rotational.
 
     Restricting to units is sound: a complete rotation of a circulant is an
     automorphism of Z_n, and those are exactly the unit multiplications.
+    S is a single <w>-orbit, so every element of S has the same gcd k with
+    n, and w sends s0 = conn[0] to some s in S.  Then w (s0/k) = s/k
+    (mod n/k), so w is one of the k lifts to Z_n of (s/k)(s0/k)^(-1)
+    mod n/k: at most |S| gcd(s0, n) candidates, each checked in full.
     """
-    return [w for w in range(1, g.n) if gcd(w, g.n) == 1 and is_complete_rotation(g, w)]
+    n = g.n
+    gcds = {gcd(s, n) for s in g.conn}
+    if len(gcds) != 1:
+        return []
+    (k,) = gcds
+    m = n // k
+    s0_inv = pow(g.conn[0] // k, -1, m)
+    found = []
+    for s in g.conn:
+        base = s // k * s0_inv % m
+        for w in range(base, n, m):
+            if gcd(w, n) == 1 and is_complete_rotation(g, w):
+                found.append(w)
+    return sorted(found)
 
 
 def cayley_map_embeddable(g: Circulant) -> bool:

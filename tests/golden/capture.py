@@ -1,0 +1,63 @@
+"""Record the CLI's stdout, stderr and exit code on a fixed query set.
+
+    PYTHONPATH=src python tests/golden/capture.py
+
+writes tests/golden/cli.json.  Each query runs in a fresh interpreter
+(`python -m frobcirc.cli`), so the file holds the bytes a user sees.
+tests/test_cli.py checks that the current code reproduces them exactly.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "cli.json")
+
+
+def tl_query(k: int) -> list[str]:
+    """verify on TL_{n_k} = Cay(Z_{n_k}, {+-1, +-(3k+1), +-(3k+2)})."""
+    n = 3 * k * k + 3 * k + 1
+    conn = sorted({1, n - 1, 3 * k + 1, n - 3 * k - 1, 3 * k + 2, n - 3 * k - 2})
+    return ["verify", str(n), ",".join(map(str, conn))]
+
+
+def gamma_queries(qmax: int) -> list[list[str]]:
+    """Every valid (p, e, r) with q = p^e <= qmax."""
+    out = []
+    for p in (3, 5, 7, 11, 13):
+        e = 3
+        while p**e <= qmax:
+            out.extend(["gamma", str(p), str(e), str(r)] for r in range(e))
+            e += 1
+    return out
+
+
+QUERIES = (
+    [tl_query(k) for k in range(2, 13)]  # k = 2 is `verify 19 1,7,8,11,12,18`
+    + [
+        ["verify", "27", "1,8,10,17,19,26"],  # Gamma_{27,1}: rotation with fixed points
+        ["verify", "8", "1,2,6,7"],  # elements with mixed gcds with n
+        ["verify", "15", "3,5,10,12"],  # connected, no element a unit
+        ["verify", "9", "3,6"],  # disconnected
+    ]
+    + [["harts", str(k)] for k in range(2, 11)]
+    + gamma_queries(243)
+    + [["classify", n, "--format", fmt] for n in ("91", "6253") for fmt in ("table", "json", "csv")]
+)
+
+
+def run(argv: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobcirc.cli", *argv], capture_output=True, text=True, check=False
+    )
+    return {"argv": argv, "code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+if __name__ == "__main__":
+    records = [run(q) for q in QUERIES]
+    with open(GOLDEN, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(records)} queries to {GOLDEN}", file=sys.stderr)

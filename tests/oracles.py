@@ -1,7 +1,9 @@
-"""Slow plain-loop reference versions of the kernels in frobcirc._kernels.
+"""Slow plain-loop reference versions of the fast paths in frobcirc.
 
-They share no code with the vectorized kernels, so the comparison in
-test_kernels.py checks one implementation against an independent one.
+They share no code with the package: the kernels in frobcirc._kernels, the
+rotation search and fixed-point closed form in frobcirc.rotation, and the
+independence test of Circulant are each compared with an independent
+implementation here.
 """
 
 import numpy as np
@@ -58,3 +60,65 @@ def multiplier_loop(n, conn_a, conn_b):
         if ok:
             return sigma
     return 0
+
+
+def rotations_loop(n, conn):
+    """Every unit w of Z_n that fixes conn setwise and drives it through one
+    |conn|-cycle, by scanning all of Z_n."""
+    conn = sorted(conn)
+    found = []
+    for w in range(1, n):
+        a = w
+        b = n
+        while b:
+            a, b = b, a % b
+        if a != 1:
+            continue
+        if sorted(w * s % n for s in conn) != conn:
+            continue
+        orbit = set()
+        x = conn[0]
+        for _ in range(len(conn)):
+            orbit.add(x)
+            x = x * w % n
+        if len(orbit) == len(conn):
+            found.append(w)
+    return found
+
+
+def orbits_loop(n, w):
+    """(orbits, fixed, free) of multiplication by the unit w on Z_n \\ {0}:
+    the orbits in order of their least element, then the sorted union of the
+    orbits shorter than the order of w and of the full-length ones."""
+    d = 1
+    x = w % n
+    while x != 1:
+        x = x * w % n
+        d += 1
+    seen = [False] * n
+    orbits = []
+    fixed = []
+    free = []
+    for v in range(1, n):
+        if seen[v]:
+            continue
+        orbit = []
+        x = v
+        while not seen[x]:
+            seen[x] = True
+            orbit.append(x)
+            x = x * w % n
+        orbits.append(tuple(orbit))
+        (free if len(orbit) == d else fixed).extend(orbit)
+    return tuple(orbits), tuple(sorted(fixed)), tuple(sorted(free))
+
+
+def independent_loop(n, conn, members):
+    """No pairwise difference of members lies in conn."""
+    conn = set(conn)
+    members = list(members)
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            if (u - v) % n in conn:
+                return False
+    return True

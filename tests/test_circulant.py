@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from oracles import independent_loop
 
 from frobcirc import _kernels
 from frobcirc._kernels import bfs_distances
@@ -86,6 +87,23 @@ class TestIndependentSet:
 
     def test_adjacent_pair(self):
         assert not cycle(19).is_independent_set([0, 1])
+
+    def test_agrees_with_pairwise_loop(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            g = random_circulant(rng, rng.randrange(4, 200))
+            members = rng.sample(range(g.n), rng.randrange(0, g.n // 3 + 1))
+            assert g.is_independent_set(members) == independent_loop(g.n, g.conn, members), (
+                g.n,
+                g.conn,
+                members,
+            )
+
+    def test_member_outside_vertex_range(self):
+        with pytest.raises(ValueError):
+            cycle(19).is_independent_set([3, 19])
+        with pytest.raises(ValueError):
+            cycle(19).is_independent_set([-1])
 
 
 class TestVertexCut:

@@ -1,11 +1,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import frobcirc
 from frobcirc import _kernels
-from frobcirc.cli import main, signed_form
+from frobcirc.cli import build_parser, main, signed_form
+
+SRC = os.path.dirname(os.path.dirname(frobcirc.__file__))
+with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as fh:
+    GOLDEN = json.load(fh)  # recorded by golden/capture.py
 
 
 def run(argv):
@@ -176,3 +185,57 @@ class TestHarts:
     def test_k1_error(self):
         code, _ = run(["harts", "1"])
         assert code == 2
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(args):
+    """(exit code, stdout, stderr) of `python *args` in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_parser_built_once_and_not_at_import(self):
+        assert build_parser() is build_parser()
+        code, out, _ = run_fresh(
+            ["-c", "import frobcirc.cli as c; print(c.build_parser.cache_info().currsize)"]
+        )
+        assert (code, out) == (0, "0\n")
+
+    def test_mixed_sequence_matches_fresh_processes(self):
+        sequence = [
+            ["classify", "91", "--format", "json"],
+            ["verify", "19", "1,7,8,11,12,18"],
+            ["classify", "x"],  # argparse: not an integer
+            ["gamma", "9", "3", "0"],  # composite p
+            ["harts", "3"],
+            ["verify", "19"],  # argparse: missing connection set
+            ["frobnicate"],  # argparse: unknown subcommand
+            ["classify", "91", "--format", "csv", "--degree", "6"],
+            ["verify", "8", "1,2,6,7"],
+            ["gamma", "3", "3", "1"],
+            ["classify", "91"],
+        ]
+        for argv in sequence:
+            assert run_in_process(argv) == run_fresh(["-m", "frobcirc.cli", *argv]), argv
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"]))
+def test_golden_output_is_byte_identical(record):
+    assert run_in_process(record["argv"]) == (record["code"], record["stdout"], record["stderr"])

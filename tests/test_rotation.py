@@ -1,6 +1,9 @@
+import random
+from itertools import combinations
 from math import gcd
 
 import pytest
+from oracles import orbits_loop, rotations_loop
 
 from frobcirc.circulant import Circulant
 from frobcirc.classifier import (
@@ -22,6 +25,7 @@ from frobcirc.rotation import (
 
 TL19 = tl_graph(2)
 Z8_MIXED = Circulant(8, (1, 2, 6, 7))
+ORBIT_MODULI = [27, 91, 125, 169, 243]
 
 
 def gamma_graph(q, h):
@@ -70,7 +74,7 @@ class TestRotationReport:
         assert all(len(o) == 4 for o in rep.orbits)
 
     def test_orbit_partition_properties(self):
-        for n in [27, 91, 125, 169, 243]:
+        for n in ORBIT_MODULI:
             for w in range(2, n):
                 if gcd(w, n) != 1:
                     continue
@@ -82,6 +86,21 @@ class TestRotationReport:
                 # F is <w>-invariant
                 fixed = set(rep.fixed)
                 assert {w * x % n for x in fixed} == fixed
+
+    def test_closed_form_matches_orbit_walk(self):
+        for n in ORBIT_MODULI:
+            for w in range(1, n):
+                if gcd(w, n) != 1:
+                    continue
+                rep = rotation_report(n, w)
+                orbits, fixed, free = orbits_loop(n, w)
+                assert (rep.fixed, rep.free, rep.orbits) == (fixed, free, orbits), (n, w)
+
+    def test_orbits_not_a_field(self):
+        rep = rotation_report(27, 8)
+        assert "orbits" not in repr(rep)
+        assert rep == rotation_report(27, 8 + 27)
+        assert rep.orbits is rep.orbits  # computed once
 
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
@@ -107,6 +126,44 @@ class TestFindAllRotations:
         assert cayley_map_embeddable(TL19)
         assert cayley_map_embeddable(Circulant(3, (1, 2)))
         assert not cayley_map_embeddable(Z8_MIXED)
+
+    def test_non_unit_connection_set(self):
+        # every element of S is 3 times a unit mod 3: rotations lift from Z_3
+        assert find_all_rotations(Circulant(9, (3, 6))) == rotations_loop(9, (3, 6)) == [2, 5, 8]
+
+    def test_every_symmetric_set_up_to_16(self):
+        for n in range(3, 17):
+            pairs = [(s, n - s) for s in range(1, n // 2 + 1)]
+            for size in range(1, len(pairs) + 1):
+                for chosen in combinations(pairs, size):
+                    conn = tuple(sorted({x for pair in chosen for x in pair}))
+                    assert find_all_rotations(Circulant(n, conn)) == rotations_loop(n, conn), (
+                        n,
+                        conn,
+                    )
+
+    def test_random_sets_up_to_200(self):
+        rng = random.Random(17)
+        for _ in range(600):
+            n = rng.randrange(3, 201)
+            if rng.random() < 0.5:
+                # k * <h, -1> for a unit h of Z_{n/k}: conn[0] is a unit only for k = 1
+                k = rng.choice([k for k in range(1, n // 3 + 1) if n % k == 0])
+                m = n // k
+                h = rng.choice([h for h in range(1, m) if gcd(h, m) == 1])
+                sub = {1, m - 1}
+                while True:
+                    grown = sub | {x * h % m for x in sub}
+                    if grown == sub:
+                        break
+                    sub = grown
+                conn = {k * x for x in sub}
+            else:
+                base = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(6, n // 2)))
+                conn = {x for s in base for x in (s, n - s)}
+            conn = tuple(sorted(conn))
+            assert find_all_rotations(Circulant(n, conn)) == rotations_loop(n, conn), (n, conn)
+        assert find_all_rotations(Z8_MIXED) == rotations_loop(8, Z8_MIXED.conn) == []
 
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
