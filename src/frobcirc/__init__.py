@@ -22,7 +22,7 @@ from .gamma import (
     gamma_fixed_points,
     verify_theorem_q,
 )
-from .harts import harts_graph, harts_iso_tl, tl_diameter_check, tl_graph
+from .harts import harts_graph, harts_iso_tl, tl_diameter, tl_graph
 from .numtheory import (
     Factorization,
     crt_combine,
@@ -79,7 +79,7 @@ __all__ = [
     "ord_p",
     "primitive_root",
     "rotation_report",
-    "tl_diameter_check",
+    "tl_diameter",
     "tl_graph",
     "verify_first_kind_frobenius",
     "verify_theorem_q",

@@ -26,7 +26,7 @@ from .classifier import (
 )
 from .errors import FrobcircError
 from .gamma import verify_theorem_q
-from .harts import harts_graph, harts_iso_tl, tl_graph
+from .harts import harts_graph, harts_iso_tl, tl_diameter, tl_graph
 from .numtheory import factorize
 from .rotation import (
     find_all_rotations,
@@ -193,7 +193,7 @@ def cmd_verify(args, out) -> int:
         w = rotations[0]
         rep = reports[0]
         lines.append(f"fixed points of {w}: {list(rep.fixed) if rep.fixed else 'empty'}")
-        cert = gossip_certificate(g, w)
+        cert = gossip_certificate(g, w, rep)
         if cert.holds:
             kind = "exact value" if cert.exact else "bound"
             lines.append(f"gossip certificate: holds, {kind} {cert.bound}")
@@ -235,18 +235,19 @@ def cmd_harts(args, out) -> int:
     mesh = harts_graph(k)
     tl = tl_graph(k - 1) if k > 2 else None
     sigma = harts_iso_tl(k)
+    # the mesh is TL_{n_{k-1}} under sigma, so both diameters are k - 1
+    diameter = tl_diameter(k - 1)
     lines = [
         f"hexagonal mesh of size {k}: {mesh.n} vertices, "
         f"connection set {{{', '.join(map(str, mesh.conn))}}}",
         f"isomorphic to TL_{mesh.n} via multiplication by {sigma}",
-        f"mesh diameter: {mesh.diameter()}",
+        f"mesh diameter: {diameter}",
     ]
     if k == 2:
         lines.append("note: the size-2 mesh is the complete graph K_7")
     if tl is not None:
         lines.append(
-            f"TL_{tl.n} connection set {{{', '.join(map(str, tl.conn))}}}, "
-            f"diameter {tl.diameter()}"
+            f"TL_{tl.n} connection set {{{', '.join(map(str, tl.conn))}}}, diameter {diameter}"
         )
     out.write("\n".join(lines) + "\n")
     return 0
@@ -297,6 +298,9 @@ def main(argv=None, out=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

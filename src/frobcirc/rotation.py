@@ -141,10 +141,20 @@ class GossipCertificate:
     exact: bool
 
 
-def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
+def gossip_certificate(
+    g: Circulant, w: int, report: RotationReport | None = None
+) -> GossipCertificate:
+    """Certificate for the complete rotation w of g; NotARotation otherwise.
+
+    `report` is `rotation_report(g.n, w)` when the caller already holds it;
+    it is then used instead of being rebuilt, and a report for another n or
+    w raises ValueError.
+    """
     if not is_complete_rotation(g, w):
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
-    rep = rotation_report(g.n, w)
+    rep = rotation_report(g.n, w) if report is None else report
+    if (rep.n, rep.w) != (g.n, w % g.n):
+        raise ValueError(f"the report is for w = {rep.w} mod {rep.n}, not {w % g.n} mod {g.n}")
     if not rep.fixed:
         return GossipCertificate(
             n=g.n,

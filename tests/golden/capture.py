@@ -45,6 +45,10 @@ QUERIES = (
     + [["harts", str(k)] for k in range(2, 11)]
     + gamma_queries(243)
     + [["classify", n, "--format", fmt] for n in ("91", "6253") for fmt in ("table", "json", "csv")]
+    # a size below the smallest, and the sizes of the harts-verify benchmark
+    # up to its largest k = 300
+    + [["harts", str(k)] for k in (1, 50, 120, 300)]
+    + [tl_query(k) for k in (50, 300)]
 )
 
 

@@ -1,9 +1,9 @@
 """Slow plain-loop reference versions of the fast paths in frobcirc.
 
 They share no code with the package: the kernels in frobcirc._kernels, the
-rotation search and fixed-point closed form in frobcirc.rotation, and the
-independence test of Circulant are each compared with an independent
-implementation here.
+rotation search and fixed-point closed form in frobcirc.rotation, the
+independence test of Circulant and the closed-form TL diameter of
+frobcirc.harts are each compared with an independent implementation here.
 """
 
 import numpy as np
@@ -29,6 +29,19 @@ def bfs_loop(n, conn, source, blocked):
                 queue[tail] = u
                 tail += 1
     return dist
+
+
+def diameter_loop(n, conn):
+    """Eccentricity of 0, which is the diameter of a connected circulant."""
+    return int(bfs_loop(n, conn, 0, np.zeros(n, np.bool_)).max())
+
+
+def tl_diameter_check(k):
+    """BFS check that TL_{n_k} = Cay(Z_{n_k}, {+-1, +-(3k+1), +-(3k+2)})
+    has diameter exactly k."""
+    n = 3 * k * k + 3 * k + 1
+    conn = [s % n for s in (1, -1, 3 * k + 1, -3 * k - 1, 3 * k + 2, -3 * k - 2)]
+    return diameter_loop(n, conn) == k
 
 
 def semiregular_loop(n, subgroup):

@@ -187,6 +187,21 @@ class TestIsoMultiplier:
         with pytest.raises(ValueError):
             iso_multiplier(cycle(5), cycle(7))
 
+    def test_isomorphic_pair_without_multiplier(self):
+        # Z_16 is not a CI-group: these two are isomorphic, by a bijection
+        # that is no multiplication, and None only says no multiplier exists
+        a = Circulant(16, (2, 3, 5, 11, 13, 14))  # {+-2, +-3, +-5}
+        b = Circulant(16, (3, 5, 6, 10, 11, 13))  # {+-3, +-5, +-6}
+
+        def phi(v):
+            return (v + 8) % 16 if v % 4 in (1, 2) else v
+
+        assert sorted(map(phi, range(16))) == list(range(16))
+        for u in range(16):
+            for v in range(16):
+                assert ((v - u) % 16 in a.conn) == ((phi(v) - phi(u)) % 16 in b.conn), (u, v)
+        assert iso_multiplier(a, b) is None
+
     def test_multiplier_maps_neighborhoods(self):
         rng = random.Random(3)
         for _ in range(20):

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import frobcirc
-from frobcirc import _kernels
+from frobcirc import _kernels, cli, rotation
 from frobcirc.cli import build_parser, main, signed_form
 
 SRC = os.path.dirname(os.path.dirname(frobcirc.__file__))
@@ -139,6 +139,26 @@ class TestVerify:
         code, _ = run(["verify", "19", "1,2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [
+            (["verify", "19", "1,7,8,11,12,18"], [(19, 8)]),
+            (["verify", "27", "1,8,10,17,19,26"], [(27, 8), (27, 17)]),  # 8 has fixed points
+        ],
+    )
+    def test_each_rotation_reported_once(self, monkeypatch, argv, reported):
+        calls = []
+
+        def counted(n, w, original=rotation.rotation_report):
+            calls.append((n, w))
+            return original(n, w)
+
+        monkeypatch.setattr(rotation, "rotation_report", counted)
+        monkeypatch.setattr(cli, "rotation_report", counted)
+        code, _ = run(argv)
+        assert code == 0
+        assert calls == reported
+
 
 class TestGamma:
     def test_cut_instance(self):
@@ -161,6 +181,17 @@ class TestGamma:
     def test_bad_exponent(self):
         code, _ = run(["gamma", "3", "2", "0"])
         assert code == 2
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # gamma 3 10 0 once asked numpy for 11.5 GiB and ended in a traceback
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 11.5 GiB")
+
+        monkeypatch.setattr(_kernels, "bfs_distances", no_memory)
+        code, text = run(["gamma", "3", "4", "0"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 11.5 GiB\n"
 
     def test_composite_p(self, capsys):
         code, text = run(["gamma", "9", "3", "0"])

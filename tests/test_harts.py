@@ -1,12 +1,17 @@
-import pytest
+import io
 
+import pytest
+from oracles import diameter_loop, tl_diameter_check
+
+from frobcirc import _kernels, harts
 from frobcirc.circulant import iso_multiplier
 from frobcirc.classifier import FrobeniusClass, verify_first_kind_frobenius
+from frobcirc.cli import main
 from frobcirc.errors import SizeTooSmall
 from frobcirc.harts import (
     harts_graph,
     harts_iso_tl,
-    tl_diameter_check,
+    tl_diameter,
     tl_graph,
     tl_vertex_count,
 )
@@ -76,17 +81,56 @@ class TestIsomorphism:
     def test_k2(self):
         assert harts_iso_tl(2) == 6
 
+    def test_wrong_mesh_raises(self, monkeypatch):
+        monkeypatch.setattr(harts, "_mesh_conn", lambda k: {1, 2, 17, 18})
+        with pytest.raises(AssertionError):
+            harts_iso_tl(3)
+
     @pytest.mark.parametrize("k", range(3, 21))
     def test_cross_checked_by_exhaustive_scan(self, k):
         sigma = iso_multiplier(harts_graph(k), tl_graph(k - 1))
         assert sigma is not None
 
 
+def printed_diameters(k):
+    """(mesh diameter, TL diameter or None) as `frobcirc harts k` prints them."""
+    out = io.StringIO()
+    assert main(["harts", str(k)], out=out) == 0
+    lines = out.getvalue().splitlines()
+    mesh = int(lines[2].removeprefix("mesh diameter: "))
+    tl = int(lines[3].rsplit("diameter ", 1)[1]) if k > 2 else None
+    return mesh, tl
+
+
 class TestDiameters:
-    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    # the closed form against the plain-loop BFS of tests/oracles.py
+    @pytest.mark.parametrize("k", range(2, 41))
     def test_tl_diameter(self, k):
+        assert tl_diameter(k) == k
         assert tl_diameter_check(k)
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("k", range(2, 41))
     def test_harts_diameter(self, k):
-        assert harts_graph(k).diameter() == k - 1
+        mesh = harts_graph(k)
+        d = diameter_loop(mesh.n, mesh.conn)
+        assert mesh.diameter() == d == k - 1
+        assert printed_diameters(k) == (d, d if k > 2 else None)
+
+    # larger sizes, up to the benchmark's largest k, against the API's BFS
+    @pytest.mark.parametrize("k", [*range(41, 61), 120, 300])
+    def test_closed_form_matches_bfs(self, k):
+        assert tl_diameter(k) == tl_graph(k).diameter() == k
+        mesh, tl = printed_diameters(k)
+        assert mesh == tl == harts_graph(k).diameter()
+
+    def test_size_one_is_k7(self):
+        assert tl_diameter(1) == diameter_loop(7, range(1, 7)) == 1
+        with pytest.raises(SizeTooSmall):
+            tl_diameter(0)
+
+    def test_harts_runs_no_bfs(self, monkeypatch):
+        def no_bfs(*args):
+            raise AssertionError("harts ran a BFS")
+
+        monkeypatch.setattr(_kernels, "bfs_distances", no_bfs)
+        assert printed_diameters(300) == (299, 299)
