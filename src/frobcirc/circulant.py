@@ -71,17 +71,14 @@ class Circulant:
     is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
 
     def is_independent_set(self, members) -> bool:
-        """No two members adjacent, i.e. no member u has u + s among the
-        members for any s in conn.  Members must be vertices in [0, n)."""
+        """No two members adjacent: (F + conn) and F are disjoint for the
+        member set F.  Members must be vertices in [0, n)."""
         members = np.array(list(members), dtype=np.int64)
         if ((members < 0) | (members >= self.n)).any():
             raise ValueError(f"member outside [0, {self.n})")
         mask = np.zeros(self.n, dtype=np.bool_)
         mask[members] = True
-        for s in self.conn:
-            if mask[(members + s) % self.n].any():
-                return False
-        return True
+        return not mask[_kernels._sumset(self.n, self._conn_arr, members)].any()
 
     def is_vertex_cut(self, members) -> bool:
         """Does removing `members` disconnect the graph?  Requires a connected

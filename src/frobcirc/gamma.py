@@ -14,6 +14,11 @@ from .errors import ExponentTooSmall, NotACut
 from .numtheory import factorize, multiplicative_order
 from .rotation import rotation_report
 
+# Largest q = p^e accepted.  On a 2-vCPU machine `gamma 3 12 0` takes 0.8 s
+# at 136 MB peak RSS and `gamma 3 13 0` (q = 1,594,323) 2.6 s at 316 MB; time
+# and memory grow with q.
+GAMMA_Q_LIMIT = 2 * 10**6
+
 
 @dataclass(frozen=True)
 class GammaSpec:
@@ -32,6 +37,11 @@ def _validate(p: int, e: int, r: int):
         raise ExponentTooSmall(f"e = {e}; the family needs e >= 3")
     if not 0 <= r <= e - 1:
         raise ValueError(f"r = {r} outside [0, {e - 1}]")
+    q = 1
+    for _ in range(e):  # stops at the limit, so a huge e costs nothing
+        q *= p
+        if q > GAMMA_Q_LIMIT:
+            raise ValueError(f"q = {p}^{e} exceeds the supported limit {GAMMA_Q_LIMIT}")
 
 
 def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:

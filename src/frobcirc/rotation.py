@@ -26,15 +26,22 @@ class RotationReport:
     So F (`fixed`) is the union, over the primes l | d, of those nonzero
     multiples, and `free` is the rest of Z_n \\ {0}.
 
-    `orbits` is computed on first access and is not a dataclass field, so
-    it takes no part in `==` or `repr`.
+    `free` and `orbits` are computed on first access and are not dataclass
+    fields, so they take no part in `==` or `repr`.
     """
 
     n: int
     w: int
     d: int  # order of w mod n
     fixed: tuple[int, ...]  # union of short orbits
-    free: tuple[int, ...]  # union of length-d orbits
+
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """Union of the length-d orbits: Z_n \\ {0} without `fixed`."""
+        short = np.zeros(self.n, dtype=np.bool_)
+        short[0] = True
+        short[list(self.fixed)] = True
+        return tuple(np.flatnonzero(~short).tolist())
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -85,9 +92,7 @@ def rotation_report(n: int, w: int) -> RotationReport:
     for ell in factorize(d).primes:
         step = n // gcd(n, pow(w, d // ell, n) - 1)
         short[step::step] = True
-    fixed = np.flatnonzero(short).tolist()
-    free = np.flatnonzero(~short)[1:].tolist()  # 0 is never short; drop it
-    return RotationReport(n, w, d, tuple(fixed), tuple(free))
+    return RotationReport(n, w, d, tuple(np.flatnonzero(short).tolist()))
 
 
 def find_all_rotations(g: Circulant) -> list[int]:

@@ -24,9 +24,9 @@ def tl_query(k: int) -> list[str]:
 
 
 def gamma_queries(qmax: int) -> list[list[str]]:
-    """Every valid (p, e, r) with q = p^e <= qmax."""
+    """Every valid (p, e, r) with q = p^e <= qmax, for qmax < 19^3."""
     out = []
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 17):
         e = 3
         while p**e <= qmax:
             out.extend(["gamma", str(p), str(e), str(r)] for r in range(e))
@@ -49,6 +49,9 @@ QUERIES = (
     # up to its largest k = 300
     + [["harts", str(k)] for k in (1, 50, 120, 300)]
     + [tl_query(k) for k in (50, 300)]
+    # the gamma-dichotomy benchmark's grid, q <= 3^8, and the next power of 3
+    + [q for q in gamma_queries(3**8) if int(q[1]) ** int(q[2]) > 243]
+    + [["gamma", "3", "9", "0"], ["gamma", "3", "9", "1"]]
 )
 
 

@@ -31,6 +31,11 @@ def bfs_loop(n, conn, source, blocked):
     return dist
 
 
+def sumset_loop(n, conn, members):
+    """Sorted X + S mod n, one sum at a time."""
+    return sorted({(x + s) % n for x in members for s in conn})
+
+
 def diameter_loop(n, conn):
     """Eccentricity of 0, which is the diameter of a connected circulant."""
     return int(bfs_loop(n, conn, 0, np.zeros(n, np.bool_)).max())

@@ -9,6 +9,7 @@ from frobcirc._kernels import bfs_distances
 from frobcirc.circulant import Circulant, iso_multiplier
 from frobcirc.classifier import enumerate_classes, subgroup_of
 from frobcirc.errors import DegenerateCut, Disconnected
+from frobcirc.gamma import build_gamma
 from frobcirc.harts import harts_graph, tl_graph
 from frobcirc.numtheory import factorize
 
@@ -98,6 +99,41 @@ class TestIndependentSet:
                 g.conn,
                 members,
             )
+
+    def test_gamma_multiples_of_p(self, dense_steps):
+        # F = the nonzero multiples of p in every Gamma_{p^e,r} with q <= 3^6;
+        # where |F| |S| > 4q the test takes the dense step
+        for p, e in [(3, 3), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3)]:
+            for r in range(e):
+                spec, g = build_gamma(p, e, r)
+                members = range(p, spec.q, p)
+                assert g.is_independent_set(members), (p, e, r)
+                assert independent_loop(g.n, g.conn, members), (p, e, r)
+        assert len(dense_steps) >= 10
+
+    def test_random_halves(self, dense_steps):
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randrange(10, 300)
+            base = rng.sample(range(1, n // 2 + 1), rng.randint(1, n // 2))
+            g = Circulant(n, tuple(sorted({x for s in base for x in (s, n - s)})))
+            members = rng.sample(range(n), n // 2)
+            assert g.is_independent_set(members) == independent_loop(g.n, g.conn, members)
+        assert len(dense_steps) >= 100
+
+    def test_evens_against_odd_sets(self, dense_steps):
+        # an odd connection set never joins two even vertices
+        rng = random.Random(37)
+        for _ in range(60):
+            n = 2 * rng.randrange(5, 150)
+            odd = range(1, n // 2 + 1, 2)
+            base = rng.sample(odd, rng.randint(1, len(odd)))
+            g = Circulant(n, tuple(sorted({x for s in base for x in (s, n - s)})))
+            evens = range(0, n, 2)
+            assert g.is_independent_set(evens)
+            assert independent_loop(g.n, g.conn, evens)
+            assert not g.is_independent_set([*evens, 1])
+        assert len(dense_steps) >= 30
 
     def test_member_outside_vertex_range(self):
         with pytest.raises(ValueError):

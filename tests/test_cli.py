@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import frobcirc
-from frobcirc import _kernels, cli, rotation
+from frobcirc import _kernels, cli, gamma, rotation
 from frobcirc.cli import build_parser, main, signed_form
 
 SRC = os.path.dirname(os.path.dirname(frobcirc.__file__))
@@ -192,6 +192,22 @@ class TestGamma:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 11.5 GiB\n"
+
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_q_59049(self, r):
+        # once out of memory: the BFS asked numpy for 11.5 GiB
+        code, text = run(["gamma", "3", "10", r])
+        assert code == 0
+        assert text.endswith("dichotomy (vertex-cut iff r >= 1): ok\n")
+
+    def test_q_above_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(gamma, "Circulant", None)  # never built
+        code, text = run(["gamma", "127", "3", "0"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: q = 127^3 exceeds the supported limit 2000000\n"
+        )
 
     def test_composite_p(self, capsys):
         code, text = run(["gamma", "9", "3", "0"])

@@ -2,10 +2,11 @@ from math import gcd
 
 import pytest
 
-from frobcirc import _kernels
+from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
 from frobcirc.errors import ExponentTooSmall, NotACut
 from frobcirc.gamma import (
+    GAMMA_Q_LIMIT,
     blocked_path_witness,
     build_gamma,
     connection_closed_form,
@@ -56,6 +57,18 @@ class TestBuild:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             build_gamma(3, 3, 3)
+
+    def test_q_limit(self, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(gamma, "Circulant", no_graph)
+        # 127^3 = 2,048,383 is the least p^e (e >= 3) above the limit
+        assert 113**3 <= GAMMA_Q_LIMIT < 127**3 and 5**9 <= GAMMA_Q_LIMIT < 3**14
+        for p, e in [(127, 3), (3, 14), (3, 10**9)]:
+            with pytest.raises(ValueError, match="exceeds the supported limit"):
+                build_gamma(p, e, 0)
+        gamma._validate(5, 9, 0)  # 1,953,125: at most the limit
 
 
 class TestStructure:

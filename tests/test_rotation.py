@@ -103,6 +103,13 @@ class TestRotationReport:
         assert rep == rotation_report(27, 8 + 27)
         assert rep.orbits is rep.orbits  # computed once
 
+    def test_free_not_a_field(self):
+        rep = rotation_report(27, 8)
+        assert "free" not in repr(rep)
+        assert rep == rotation_report(27, 8 + 27)
+        assert rep.free is rep.free  # computed once
+        assert "free" not in rotation_report(270901, 902).__dict__  # not built by the report
+
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
             for c in all_classes(factorize(n)):
