@@ -1,5 +1,5 @@
-"""Hot inner loops: circulant BFS and sumsets, stabilizer brute force,
-unit-multiplier scan.
+"""Hot inner loops: circulant BFS and sumsets, the semiregularity scan over
+one element per prime-order subgroup, unit-multiplier scan.
 
 One vectorized numpy implementation per kernel.  The tests compare each one
 against a plain-loop oracle (tests/oracles.py).
@@ -9,6 +9,8 @@ comfortably in int64.
 """
 
 import numpy as np
+
+from .numtheory import factorize
 
 BACKEND = "numpy"
 
@@ -74,13 +76,55 @@ def bfs_distances(n, conn, source, blocked):
     return dist
 
 
+def _prime_order_elements(n, elems, l):
+    """The elements of `elems` with g^l = 1 mod n and g != 1, for a prime l:
+    exactly those of order l.  Square-and-multiply over the whole array."""
+    power = np.ones_like(elems)
+    base = elems
+    e = l
+    while e:
+        if e & 1:
+            power = power * base % n
+        base = base * base % n
+        e >>= 1
+    return elems[(power == 1) & (elems != 1)]
+
+
 def semiregular_scan(n, subgroup):
-    """Does no non-identity h in `subgroup` fix a nonzero residue mod n?"""
-    xs = np.arange(1, n, dtype=np.int64)
-    for h in subgroup:
-        if h == 1:
+    """Does no non-identity h in the subgroup H of Z_n^* fix a nonzero
+    residue mod n?
+
+    Scans one generator of each subgroup of prime order of H against every
+    x in [1, n), which is enough: if h != 1 fixes x, so does every power of
+    h, among them h^(ord h / l) of prime order l; and two elements that
+    generate the same subgroup fix the same residues.  By Cauchy's theorem
+    the primes l are those dividing |H|; a group of prime order is its own
+    only such subgroup.  For cyclic H of order d that is omega(d) passes,
+    one per distinct prime of d, instead of d - 1.  `subgroup` must be
+    closed under multiplication mod n.
+    """
+    elems = np.asarray(subgroup, dtype=np.int64)
+    d = elems.size
+    reps = []
+    for l in factorize(d).primes:
+        if l == d:
+            reps.append(elems[0] if elems[0] != 1 else elems[1])
             continue
-        if np.any((h * xs) % n == xs):
+        covered = set()
+        for g in _prime_order_elements(n, elems, l).tolist():
+            if g in covered:
+                continue
+            reps.append(g)
+            x = g
+            while x != 1:
+                covered.add(x)
+                x = x * g % n
+    xs = np.arange(1, n, dtype=np.int64)
+    for h in reps:
+        # h x = x mod n iff n divides (h - 1) x; numpy's floor division by a
+        # scalar divisor has a fast path (libdivide) that its % lacks
+        k = (h - 1) * xs
+        if np.any(k // n * n == k):
             return False
     return True
 

@@ -77,6 +77,11 @@ def _local_components(f: Factorization):
     return comps
 
 
+def _glue_h(comps, d: int, m: tuple[int, ...]) -> int:
+    """CRT-glue h from the local components and a validated exponent tuple."""
+    return crt_combine([(pow(eta, mi * phi // d, q), q) for (q, eta, phi), mi in zip(comps, m)])
+
+
 def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
     """Glue h from local prime-power components for the exponent tuple m."""
     _check_odd(f)
@@ -84,12 +89,10 @@ def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
         raise InadmissibleDegree(f"degree {d} is not an even divisor of D for n={f.n}")
     if len(m) != f.num_primes:
         raise BadExponent(f"expected {f.num_primes} exponents, got {len(m)}")
-    residues = []
-    for (q, eta, phi), mi in zip(_local_components(f), m):
+    for mi in m:
         if not 1 <= mi < d or gcd(mi, d) != 1:
             raise BadExponent(f"m = {mi} is not a unit mod d = {d}")
-        residues.append((pow(eta, mi * phi // d, q), q))
-    return crt_combine(residues)
+    return _glue_h(_local_components(f), d, m)
 
 
 def subgroup_of(h: int, n: int) -> tuple[int, ...]:
@@ -116,10 +119,11 @@ def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
     tuples = [(1,)]
     for _ in range(f.num_primes - 1):
         tuples = [t + (u,) for t in tuples for u in units]
+    comps = _local_components(f)
     classes = [
         FrobeniusClass(f.n, d, h, subgroup_of(h, f.n), m)
         for m in tuples
-        for h in [construct_h(f, d, m)]
+        for h in [_glue_h(comps, d, m)]
     ]
     classes.sort(key=lambda c: c.h)
     return classes
@@ -147,7 +151,7 @@ def is_semiregular_by_local_orders(n: int, h: int, d: int) -> bool:
 
 @dataclass(frozen=True)
 class FrobeniusReport:
-    regular_on_s: bool  # S = H as sets, so H acts regularly on S
+    regular_on_s: bool  # S = <h> as sets, so H acts regularly on S
     semiregular: bool
     connected: bool
     degree_bound: bool  # d < smallest prime factor of n
@@ -160,10 +164,19 @@ class FrobeniusReport:
 def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     """Check the four defining conditions on a constructed class."""
     g = c.graph()
-    # S = <h> as sets makes H regular on S: multiplication by H is transitive
-    # on the group H itself and stabilizers in a group action on itself are
-    # trivial.  Materializing <h> again also re-checks subgroup closure.
-    regular_on_s = set(g.conn) == set(subgroup_of(c.h, c.n)) and g.degree == c.d
+    # S = <h> makes H regular on S: multiplication by H is transitive on the
+    # group H itself and stabilizers in a group action on itself are trivial.
+    # 1 in S and h S = S put <h> inside S, so S = <h> exactly when the
+    # order of h, checked by its powers, is |S| = d.
+    conn = set(g.conn)
+    h, n, d = c.h, c.n, c.d
+    regular_on_s = (
+        1 in conn
+        and {h * s % n for s in conn} == conn
+        and len(conn) == d
+        and pow(h, d, n) == 1
+        and all(pow(h, d // l, n) != 1 for l in factorize(d).primes)
+    )
     return FrobeniusReport(
         regular_on_s=regular_on_s,
         semiregular=is_semiregular(c.n, c.subgroup),

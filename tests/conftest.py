@@ -14,3 +14,18 @@ def dense_steps(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", spy)
     return steps
+
+
+@pytest.fixture
+def scan_passes(monkeypatch):
+    """A list that gets the array size of every np.any call, one per element
+    that _kernels.semiregular_scan tests against [1, n)."""
+    sizes = []
+    any_ = np.any
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return any_(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "any", spy)
+    return sizes

@@ -52,6 +52,15 @@ QUERIES = (
     # the gamma-dichotomy benchmark's grid, q <= 3^8, and the next power of 3
     + [q for q in gamma_queries(3**8) if int(q[1]) ** int(q[2]) > 243]
     + [["gamma", "3", "9", "0"], ["gamma", "3", "9", "1"]]
+    # classify queries whose oracle scans large subgroups: K_p classes with
+    # |H| = p - 1, with and without the oracle past ORACLE_AUTO_LIMIT
+    + [
+        ["classify", "1999", "--format", "json"],
+        ["classify", "1019"],
+        ["classify", "1249", "--format", "csv"],
+        ["classify", "2039", "--oracle"],
+        ["classify", "2039", "--no-oracle"],
+    ]
 )
 
 

@@ -165,6 +165,20 @@ class TestVerify:
         assert not report.semiregular
         assert not report.ok
 
+    def test_subgroup_not_generated_by_h_fails(self):
+        # <2> is all of Z_13^*: 1 in S, 4 S = S and |S| = 12, but 4 has order 6
+        c = FrobeniusClass(13, 12, 4, subgroup_of(2, 13), (1,))
+        report = verify_first_kind_frobenius(c)
+        assert not report.regular_on_s
+        assert not report.ok
+        assert report.semiregular and report.connected and report.degree_bound
+        # h = 5 lies outside S = <4>, so h S != S
+        c = FrobeniusClass(13, 6, 5, subgroup_of(4, 13), (1,))
+        assert not verify_first_kind_frobenius(c).regular_on_s
+        # S = <h> but d is not |S|
+        c = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
+        assert not verify_first_kind_frobenius(c).regular_on_s
+
     def test_stabilizer_bruteforce_equivalence(self):
         # exhaustive stabilizer triviality equals the gcd criterion
         for n, h in [(91, 90), (27, 8), (6253, 5507), (169, 70)]:

@@ -117,6 +117,65 @@ def test_semiregular_agreement():
         assert _kernels.semiregular_scan(n, arr) == semiregular_loop(n, arr)
 
 
+def generated_subgroup(n, gens):
+    """The subgroup of Z_n^* generated by the units `gens`, sorted."""
+    elems = {1}
+    frontier = [1]
+    while frontier:
+        frontier = {x * g % n for x in frontier for g in gens} - elems
+        elems.update(frontier)
+    return sorted(elems)
+
+
+def is_cyclic(n, elems):
+    """Does some element of the group `elems` have order |elems|?"""
+    for g in elems:
+        k, x = 1, g
+        while x != 1:
+            x = x * g % n
+            k += 1
+        if k == len(elems):
+            return True
+    return False
+
+
+def test_semiregular_agreement_generated():
+    # subgroups generated by 2-3 random units, many of them not cyclic
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(5, 400)
+        units = [u for u in range(2, n) if np.gcd(u, n) == 1]
+        sub = generated_subgroup(n, rng.sample(units, min(len(units), rng.randint(2, 3))))
+        ref = semiregular_loop(n, sub)
+        assert _kernels.semiregular_scan(n, np.array(sub, dtype=np.int64)) == ref, (n, sub)
+        seen.add((is_cyclic(n, sub), ref))
+    # a semiregular H embeds in the cyclic Z_p^* for each prime p | n, so a
+    # non-cyclic H is never semiregular
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "n, sub, expected",
+    [
+        (15, [1, 4, 11, 14], False),  # Klein four-group: -1 alone fixes nothing
+        (15, [1, 14], True),
+        (27, generated_subgroup(27, [8]), False),
+        (1019, list(range(1, 1019)), True),  # K_1019, |H| = 2 * 509
+        (2039, list(range(1, 2039)), True),  # K_2039, |H| = 2 * 1019
+    ],
+)
+def test_semiregular_cases(n, sub, expected):
+    assert semiregular_loop(n, sub) == expected
+    assert _kernels.semiregular_scan(n, np.array(sub, dtype=np.int64)) == expected
+
+
+def test_semiregular_scans_one_element_per_prime_order(scan_passes):
+    # K_1019: |H| = 1018 = 2 * 509, so two subgroups of prime order
+    assert _kernels.semiregular_scan(1019, np.arange(1, 1019, dtype=np.int64))
+    assert 0 < scan_passes.count(1018) <= 2
+
+
 def test_multiplier_agreement():
     rng = random.Random(17)
     for _ in range(50):
