@@ -5,6 +5,7 @@ s in the connection set, so BFS works straight off the residue list.  The
 heavy scans live in _kernels.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -29,11 +30,12 @@ class Circulant:
         conn = tuple(sorted(set(self.conn)))
         if not conn:
             raise ValueError("connection set is empty")
-        for s in conn:
-            if not 1 <= s < self.n:
-                raise ValueError(f"connection element {s} outside [1, {self.n})")
-        conn_set = set(conn)
-        if any(self.n - s not in conn_set for s in conn):
+        if conn[0] < 1 or conn[-1] >= self.n:
+            # the first element outside [1, n) in sorted order
+            bad = conn[0] if conn[0] < 1 else conn[bisect_left(conn, self.n)]
+            raise ValueError(f"connection element {bad} outside [1, {self.n})")
+        # reversed, n - s runs over -conn ascending
+        if conn != tuple(self.n - s for s in reversed(conn)):
             raise ValueError("connection set is not symmetric under negation")
         object.__setattr__(self, "conn", conn)
         object.__setattr__(self, "_conn_arr", np.array(conn, dtype=np.int64))
@@ -66,7 +68,9 @@ class Circulant:
         g = self.n
         for s in self.conn:
             g = gcd(g, s)
-        return g == 1
+            if g == 1:
+                return True
+        return False
 
     is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
 

@@ -16,14 +16,8 @@ from functools import cached_property
 from math import gcd
 
 from .circulant import Circulant
-from .errors import BadExponent, EvenKernel, InadmissibleDegree
-from .numtheory import (
-    Factorization,
-    crt_combine,
-    factorize,
-    multiplicative_order,
-    primitive_root,
-)
+from .errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
+from .numtheory import Factorization, crt_combine, factorize, primitive_root
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,9 @@ def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
 
 
 def subgroup_of(h: int, n: int) -> tuple[int, ...]:
-    """Sorted element list of <h> in Z_n^*."""
+    """Sorted element list of <h> in Z_n^*; h must be a unit mod n."""
+    if gcd(h % n, n) != 1:
+        raise NotAUnit(f"{h} is not a unit mod {n}")
     elems = []
     x = h % n
     while x != 1:
@@ -143,12 +139,6 @@ def is_semiregular(n: int, subgroup) -> bool:
     return all(gcd(h - 1, n) == 1 for h in subgroup if h % n != 1)
 
 
-def is_semiregular_by_local_orders(n: int, h: int, d: int) -> bool:
-    """Cyclic-case cross-check: <h> of order d is semiregular iff h has
-    order d modulo every prime factor of n."""
-    return all(multiplicative_order(h, p) == d for p in factorize(n).primes)
-
-
 @dataclass(frozen=True)
 class FrobeniusReport:
     regular_on_s: bool  # S = <h> as sets, so H acts regularly on S
@@ -162,24 +152,39 @@ class FrobeniusReport:
 
 
 def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
-    """Check the four defining conditions on a constructed class."""
+    """Check the four defining conditions on a constructed class.
+
+    S = <h> makes H regular on S: multiplication by H is transitive on the
+    group H itself and stabilizers in a group action on itself are trivial.
+    1 in S and h S = S put <h> inside S, so S = <h> exactly when the order
+    of h, checked by its powers h^(d/l) for the primes l | d, is |S| = d.
+
+    Semiregularity then needs one gcd per prime l | d.  An element x of H
+    fixes a nonzero residue v iff gcd(x - 1, n) > 1.  If x != 1 fixes v,
+    some power of x of prime order l fixes v, and it generates the unique
+    subgroup of order l of the cyclic group <h>, as does h^(d/l); every
+    generator of a cyclic group fixes exactly what the group fixes.  So
+    <h> is semiregular iff gcd(h^(d/l) - 1, n) = 1 for every prime l | d.
+    When S != <h>, `semiregular` still describes S, by `is_semiregular`.
+    """
     g = c.graph()
-    # S = <h> makes H regular on S: multiplication by H is transitive on the
-    # group H itself and stabilizers in a group action on itself are trivial.
-    # 1 in S and h S = S put <h> inside S, so S = <h> exactly when the
-    # order of h, checked by its powers, is |S| = d.
-    conn = set(g.conn)
+    conn = g.conn  # sorted and distinct
     h, n, d = c.h, c.n, c.d
+    gens = [pow(h, d // l, n) for l in factorize(d).primes]
     regular_on_s = (
-        1 in conn
-        and {h * s % n for s in conn} == conn
+        conn[0] == 1
         and len(conn) == d
         and pow(h, d, n) == 1
-        and all(pow(h, d // l, n) != 1 for l in factorize(d).primes)
+        and 1 not in gens
+        and {h * s % n for s in conn} == set(conn)
     )
+    if regular_on_s:
+        semiregular = all(gcd(x - 1, n) == 1 for x in gens)
+    else:
+        semiregular = is_semiregular(n, c.subgroup)
     return FrobeniusReport(
         regular_on_s=regular_on_s,
-        semiregular=is_semiregular(c.n, c.subgroup),
+        semiregular=semiregular,
         connected=g.is_connected(),
-        degree_bound=c.d < factorize(c.n).smallest_prime,
+        degree_bound=d < factorize(n).smallest_prime,
     )

@@ -15,8 +15,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import _kernels
 from .circulant import Circulant
 from .classifier import (
@@ -44,17 +42,24 @@ def signed_form(h: int, n: int) -> str:
 
 
 def conn_pairs(conn, n) -> list[int]:
-    """One base residue per +-pair, ascending."""
-    return sorted({min(s, n - s) for s in conn})
+    """One base residue per +-pair, ascending, for a sorted connection set
+    closed under negation mod an odd n: exactly one of s and n - s is below
+    n / 2."""
+    return [s for s in conn if 2 * s < n]
 
 
 def class_record(c, oracle: bool) -> dict:
+    """The output record of one class.
+
+    When the report shows S = <h>, h is a complete rotation: S is then the
+    single <h>-orbit of 1 in S, so multiplication by h maps S onto itself in
+    one |S|-cycle.  Otherwise the general test decides.
+    """
     report = verify_first_kind_frobenius(c)
+    g = c.graph()
     frobenius = report.ok
     if oracle:
-        frobenius = frobenius and bool(
-            _kernels.semiregular_scan(c.n, np.array(c.subgroup, dtype=np.int64))
-        )
+        frobenius = frobenius and bool(_kernels.semiregular_scan(c.n, g._conn_arr))
     return {
         "n": c.n,
         "d": c.d,
@@ -62,8 +67,8 @@ def class_record(c, oracle: bool) -> dict:
         "h": c.h,
         "h_signed": signed_form(c.h, c.n),
         "connection_set": list(c.subgroup),
-        "connection_pairs": conn_pairs(c.subgroup, c.n),
-        "rotational": is_complete_rotation(c.graph(), c.h),
+        "connection_pairs": conn_pairs(g.conn, c.n),
+        "rotational": report.regular_on_s or is_complete_rotation(g, c.h),
         "frobenius": frobenius,
         "gossip_bound": (c.n - 1) // c.d,
     }
@@ -82,10 +87,29 @@ CLASS_COLUMNS = [
 ]
 
 
+def _json_records(records: list[dict]) -> str:
+    """json.dumps(records, indent=2) for flat records whose lists hold ints,
+    with each int list joined in one step."""
+    if not records:
+        return "[]"
+    objs = []
+    for rec in records:
+        fields = []
+        for key, value in rec.items():
+            if not isinstance(value, list):
+                value = json.dumps(value)
+            elif value:
+                value = "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+            else:
+                value = "[]"
+            fields.append(f"    {json.dumps(key)}: {value}")
+        objs.append("  {\n" + ",\n".join(fields) + "\n  }")
+    return "[\n" + ",\n".join(objs) + "\n]"
+
+
 def render_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(records, out, indent=2)
-        out.write("\n")
+        out.write(_json_records(records) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")

@@ -61,6 +61,17 @@ QUERIES = (
         ["classify", "2039", "--oracle"],
         ["classify", "2039", "--no-oracle"],
     ]
+    # classify across record shapes: many degrees (K_2749 has d up to 2748),
+    # three primes (m-tuples), the smallest n, and the table and csv writers
+    # on the largest classes
+    + [
+        ["classify", "2749", "--format", "json"],
+        ["classify", "433", "--format", "json"],
+        ["classify", "1105", "--format", "json"],
+        ["classify", "3", "--format", "json"],
+        ["classify", "2477", "--format", "table"],
+        ["classify", "2999", "--format", "csv"],
+    ]
 )
 
 

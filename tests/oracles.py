@@ -2,7 +2,8 @@
 
 They share no code with the package: the kernels in frobcirc._kernels, the
 rotation search and fixed-point closed form in frobcirc.rotation, the
-independence test of Circulant and the closed-form TL diameter of
+validation and independence test of Circulant, the semiregularity
+criterion of frobcirc.classifier and the closed-form TL diameter of
 frobcirc.harts are each compared with an independent implementation here.
 """
 
@@ -139,4 +140,46 @@ def independent_loop(n, conn, members):
         for v in members[i + 1 :]:
             if (u - v) % n in conn:
                 return False
+    return True
+
+
+def circulant_validation(n, conn):
+    """The set-based checks of Circulant(n, conn): the sorted distinct
+    connection set, or ValueError with the message Circulant raises."""
+    if n < 3:
+        raise ValueError(f"modulus {n} must be >= 3")
+    conn = tuple(sorted(set(conn)))
+    if not conn:
+        raise ValueError("connection set is empty")
+    for s in conn:
+        if not 1 <= s < n:
+            raise ValueError(f"connection element {s} outside [1, {n})")
+    conn_set = set(conn)
+    if any(n - s not in conn_set for s in conn):
+        raise ValueError("connection set is not symmetric under negation")
+    return conn
+
+
+def semiregular_by_local_orders(n, h, d):
+    """Cyclic-case cross-check: for a unit h of order d, <h> is semiregular
+    on Z_n \\ {0} iff h has order d modulo every prime factor of n."""
+    primes = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    for p in primes:
+        order = 1
+        x = h % p
+        while x != 1:
+            x = x * h % p
+            order += 1
+        if order != d:
+            return False
     return True

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from oracles import independent_loop
+from oracles import circulant_validation, independent_loop
 
 from frobcirc import _kernels
 from frobcirc._kernels import bfs_distances
@@ -42,6 +42,29 @@ class TestConstruction:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             Circulant(2, (1,))
+
+    def test_validation_matches_set_based_checks(self):
+        # duplicates, 0, n, negatives, elements past n and asymmetric sets;
+        # half of the sets are made symmetric before the noise is added
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(3000):
+            n = rng.randint(1, 40)
+            conn = [rng.randint(-3, n + 3) for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.5:
+                conn += [n - s for s in conn if 0 < s < n]
+                conn += rng.choices([0, n, -1, n + 1, 1], k=rng.randint(0, 1))
+            try:
+                expected = circulant_validation(n, conn)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    Circulant(n, tuple(conn))
+                assert str(got.value) == str(exc), (n, conn)
+                verdicts.add(str(exc).split()[0])
+            else:
+                assert Circulant(n, tuple(conn)).conn == expected, (n, conn)
+                verdicts.add("ok")
+        assert verdicts == {"modulus", "connection", "ok"}
 
 
 class TestNeighbors:

@@ -1,8 +1,10 @@
 from math import gcd
 
 import pytest
+from oracles import semiregular_by_local_orders
 
 from frobcirc.circulant import iso_multiplier
+from frobcirc.cli import class_record
 from frobcirc.classifier import (
     FrobeniusClass,
     admissible_degrees,
@@ -10,13 +12,13 @@ from frobcirc.classifier import (
     construct_h,
     enumerate_classes,
     is_semiregular,
-    is_semiregular_by_local_orders,
     max_degree_D,
     subgroup_of,
     verify_first_kind_frobenius,
 )
-from frobcirc.errors import BadExponent, EvenKernel, InadmissibleDegree
+from frobcirc.errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
 from frobcirc.numtheory import euler_phi, factorize
+from frobcirc.rotation import is_complete_rotation
 
 F6253 = factorize(6253)
 
@@ -145,8 +147,8 @@ class TestSemiregular:
 
     def test_agrees_with_local_orders(self):
         for c in all_classes(F6253):
-            assert is_semiregular_by_local_orders(c.n, c.h, c.d)
-        assert not is_semiregular_by_local_orders(27, 8, 6)
+            assert semiregular_by_local_orders(c.n, c.h, c.d)
+        assert not semiregular_by_local_orders(27, 8, 6)
 
 
 class TestVerify:
@@ -187,3 +189,29 @@ class TestVerify:
                 h2 * x % n != x for h2 in sub if h2 != 1 for x in range(1, n)
             )
             assert brute == is_semiregular(n, sub), (n, h)
+
+    def test_report_matches_general_checks_below_700(self):
+        # the report's per-generator gcds and the record's shortcut for
+        # S = <h> agree with the checks that scan all of S
+        for n in range(3, 700, 2):
+            for c in all_classes(factorize(n)):
+                report = verify_first_kind_frobenius(c)
+                assert report.semiregular == is_semiregular(n, c.subgroup), (n, c.h)
+                rotational = class_record(c, oracle=False)["rotational"]
+                assert rotational == is_complete_rotation(c.graph(), c.h), (n, c.h)
+        # S != <h>: the record falls back to the general test, either way
+        orbit_too_short = FrobeniusClass(13, 12, 4, subgroup_of(2, 13), (1,))
+        wrong_degree = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
+        assert not class_record(orbit_too_short, oracle=False)["rotational"]
+        assert class_record(wrong_degree, oracle=False)["rotational"]
+
+
+class TestSubgroupOf:
+    def test_cycle(self):
+        assert subgroup_of(8, 27) == (1, 8, 10, 17, 19, 26)
+        assert subgroup_of(1, 9) == (1,)
+
+    @pytest.mark.parametrize("h, n", [(3, 9), (0, 9), (5, 15), (15, 5)])
+    def test_non_unit_raises(self, h, n):
+        with pytest.raises(NotAUnit):
+            subgroup_of(h, n)

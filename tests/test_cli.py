@@ -7,6 +7,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import frobcirc
 from frobcirc import _kernels, cli, gamma, rotation
@@ -109,6 +111,44 @@ class TestClassify:
         code, text = run(["classify", "91", "--oracle", "--format", "json"])
         assert code == 0
         assert all(r["frobenius"] for r in json.loads(text))
+
+
+INT_LIST = st.lists(st.integers(), max_size=6)
+CLASS_RECORD = st.fixed_dictionaries(
+    {
+        "n": st.integers(),
+        "d": st.integers(),
+        "m_vector": INT_LIST,
+        "h": st.integers(min_value=-(10**30), max_value=10**30),
+        "h_signed": st.text(),
+        "connection_set": INT_LIST,
+        "connection_pairs": INT_LIST,
+        "rotational": st.booleans(),
+        "frobenius": st.booleans(),
+        "gossip_bound": st.integers(),
+    }
+)
+QUOTED = {
+    "n": -7,
+    "d": 0,
+    "m_vector": [],
+    "h": 10**40,
+    "h_signed": 'a"b\\c\u00e9\u2203\U0001d4b5\n\t',
+    "connection_set": [-1, 0, 10**25],
+    "connection_pairs": [],
+    "rotational": True,
+    "frobenius": False,
+    "gossip_bound": -(10**20),
+}
+
+
+@given(st.lists(CLASS_RECORD, max_size=4))
+@example([])
+@example([QUOTED])
+def test_json_writer_matches_json_dumps(records):
+    out = io.StringIO()
+    cli.render_records(records, "json", out)
+    assert out.getvalue() == json.dumps(records, indent=2) + "\n"
 
 
 class TestVerify:
