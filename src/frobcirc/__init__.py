@@ -17,7 +17,6 @@ from .classifier import (
 from .gamma import (
     GammaReport,
     GammaSpec,
-    blocked_path_witness,
     build_gamma,
     gamma_fixed_points,
     verify_theorem_q,
@@ -29,7 +28,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     mod_inverse,
-    mod_pow,
     multiplicative_order,
     ord_p,
     primitive_root,
@@ -37,7 +35,6 @@ from .numtheory import (
 from .rotation import (
     GossipCertificate,
     RotationReport,
-    cayley_map_embeddable,
     find_all_rotations,
     gossip_certificate,
     is_complete_rotation,
@@ -56,9 +53,7 @@ __all__ = [
     "RotationReport",
     "admissible_degrees",
     "all_classes",
-    "blocked_path_witness",
     "build_gamma",
-    "cayley_map_embeddable",
     "construct_h",
     "crt_combine",
     "enumerate_classes",
@@ -74,7 +69,6 @@ __all__ = [
     "iso_multiplier",
     "max_degree_D",
     "mod_inverse",
-    "mod_pow",
     "multiplicative_order",
     "ord_p",
     "primitive_root",

@@ -76,11 +76,15 @@ def _glue_h(comps, d: int, m: tuple[int, ...]) -> int:
     return crt_combine([(pow(eta, mi * phi // d, q), q) for (q, eta, phi), mi in zip(comps, m)])
 
 
-def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
-    """Glue h from local prime-power components for the exponent tuple m."""
+def _check_degree(f: Factorization, d: int):
     _check_odd(f)
     if d % 2 != 0 or max_degree_D(f) % d != 0:
         raise InadmissibleDegree(f"degree {d} is not an even divisor of D for n={f.n}")
+
+
+def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
+    """Glue h from local prime-power components for the exponent tuple m."""
+    _check_degree(f, d)
     if len(m) != f.num_primes:
         raise BadExponent(f"expected {f.num_primes} exponents, got {len(m)}")
     for mi in m:
@@ -108,9 +112,7 @@ def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
     The canonical representative of each class is the h built from the
     m-tuple with m_1 = 1 (every class contains exactly one such tuple).
     """
-    _check_odd(f)
-    if d % 2 != 0 or max_degree_D(f) % d != 0:
-        raise InadmissibleDegree(f"degree {d} is not an even divisor of D for n={f.n}")
+    _check_degree(f, d)
     units = [m for m in range(1, d) if gcd(m, d) == 1]
     tuples = [(1,)]
     for _ in range(f.num_primes - 1):
@@ -153,6 +155,10 @@ class FrobeniusReport:
 
 def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     """Check the four defining conditions on a constructed class.
+
+    The class's subgroup must be closed under negation, as every enumerated
+    class is (d is even, so -1 is in <h>); otherwise building its graph
+    raises ValueError from `Circulant`.
 
     S = <h> makes H regular on S: multiplication by H is transitive on the
     group H itself and stabilizers in a group action on itself are trivial.

@@ -317,10 +317,7 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         return args.func(args, out)
-    except FrobcircError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # FrobcircError subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -37,10 +37,6 @@ class NotARotation(FrobcircError):
     """Residue is not a complete rotation of the graph."""
 
 
-class NotACut(FrobcircError):
-    """Blocked-path witness requested in the non-cut regime."""
-
-
 class SizeTooSmall(FrobcircError):
     """Hexagonal-mesh size parameter must be at least 2."""
 

@@ -10,8 +10,9 @@ r = 0 instances certify the gossip bound).
 from dataclasses import dataclass
 
 from .circulant import Circulant
-from .errors import ExponentTooSmall, NotACut
-from .numtheory import factorize, multiplicative_order
+from .classifier import subgroup_of
+from .errors import ExponentTooSmall
+from .numtheory import factorize
 from .rotation import rotation_report
 
 # Largest q = p^e accepted.  On a 2-vCPU machine `gamma 3 12 0` takes 0.8 s
@@ -50,24 +51,15 @@ def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:
     _validate(p, e, r)
     q = p**e
     h = pow(p - 1, p**r, q)
-    spec = GammaSpec(p, e, r, q, h, 2 * p ** (e - r - 1))
-    conn = []
-    x = h
-    while x != 1:
-        conn.append(x)
-        x = x * h % q
-    conn.append(1)
-    return spec, Circulant(q, tuple(sorted(conn)))
+    return GammaSpec(p, e, r, q, h, 2 * p ** (e - r - 1)), Circulant(q, subgroup_of(h, q))
 
 
 def connection_closed_form(spec: GammaSpec) -> tuple[int, ...]:
-    """The subgroup as {p^(r+1) k +- 1 mod q : 0 <= k < p^(e-r-1)}."""
+    """The subgroup as {p^(r+1) k +- 1 mod q : 0 <= k < p^(e-r-1)}, that is,
+    the residues congruent to +-1 mod step = p^(r+1); step >= 3, so the two
+    ranges are disjoint."""
     step = spec.p ** (spec.r + 1)
-    out = set()
-    for k in range(spec.p ** (spec.e - spec.r - 1)):
-        out.add((step * k + 1) % spec.q)
-        out.add((step * k - 1) % spec.q)
-    return tuple(sorted(out))
+    return tuple(sorted([*range(1, spec.q, step), *range(step - 1, spec.q, step)]))
 
 
 def gamma_fixed_points(spec: GammaSpec) -> tuple[int, ...]:
@@ -117,9 +109,7 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     expected_fixed = fixed if r <= e - 2 else ()
     return GammaReport(
         spec=spec,
-        degree_ok=(
-            multiplicative_order(spec.h, spec.q) == spec.degree and g.degree == spec.degree
-        ),
+        degree_ok=rep.d == spec.degree and g.degree == spec.degree,
         closed_form_ok=g.conn == connection_closed_form(spec),
         fixed_formula_ok=rep.fixed == expected_fixed,
         independent=g.is_independent_set(fixed),
@@ -136,13 +126,3 @@ def _blocked_vertex(spec: GammaSpec, g: Circulant, fixed) -> int:
     if target in g.reachable_from(0, fixed):
         raise AssertionError(f"vertex {target} unexpectedly reachable in Gamma - F")
     return target
-
-
-def blocked_path_witness(p: int, e: int, r: int) -> int:
-    """For r >= 1, the vertex p + 1 is separated from 0 by removing F;
-    verified by BFS on Gamma - F."""
-    _validate(p, e, r)
-    if r == 0:
-        raise NotACut("F is not a vertex-cut when r = 0")
-    spec, g = build_gamma(p, e, r)
-    return _blocked_vertex(spec, g, gamma_fixed_points(spec))

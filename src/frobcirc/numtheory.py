@@ -61,15 +61,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def mod_pow(a: int, k: int, m: int) -> int:
-    """a**k mod m for k >= 0, m >= 2."""
-    if m < 2:
-        raise ValueError(f"modulus {m} must be >= 2")
-    if k < 0:
-        raise ValueError(f"exponent {k} must be >= 0")
-    return pow(a, k, m)
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m; requires gcd(a, m) = 1."""
     if m < 2:
@@ -140,8 +131,7 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
     x = 0
     for r, m in residues:
         ni = n // m
-        b = mod_inverse(ni, m) if m > 1 else 0
-        x = (x + ni * b * r) % n
+        x = (x + ni * mod_inverse(ni, m) * r) % n
     return x
 
 

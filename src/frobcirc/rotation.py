@@ -8,7 +8,7 @@ the order of w; the free part consists of the full-length orbits.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, gcd
+from math import gcd
 
 import numpy as np
 
@@ -69,18 +69,23 @@ def _require_unit(n: int, w: int):
 
 
 def is_complete_rotation(g: Circulant, w: int) -> bool:
-    """Does multiplication by w fix conn setwise and drive it in one cycle?"""
+    """Does multiplication by w fix conn setwise and drive it in one cycle?
+
+    w is a unit, so x -> w x is injective and w S within S already means
+    w S = S.  Then w permutes S, the <w>-orbit of s0 = conn[0] is a cycle
+    inside S, and S is one orbit exactly when that cycle has length |S|:
+    the walk from s0 must not come back to s0 within |S| - 1 steps.
+    """
     _require_unit(g.n, w)
-    conn = set(g.conn)
-    if {w * s % g.n for s in conn} != conn:
+    n, conn = g.n, g.conn
+    if not set(conn).issuperset([w * s % n for s in conn]):
         return False
-    s = g.conn[0]
-    orbit = set()
-    x = s
-    for _ in range(len(conn)):
-        orbit.add(x)
-        x = x * w % g.n
-    return orbit == conn
+    s0 = x = conn[0]
+    for _ in range(len(conn) - 1):
+        x = x * w % n
+        if x == s0:
+            return False
+    return True
 
 
 def rotation_report(n: int, w: int) -> RotationReport:
@@ -104,6 +109,9 @@ def find_all_rotations(g: Circulant) -> list[int]:
     n, and w sends s0 = conn[0] to some s in S.  Then w (s0/k) = s/k
     (mod n/k), so w is one of the k lifts to Z_n of (s/k)(s0/k)^(-1)
     mod n/k: at most |S| gcd(s0, n) candidates, each checked in full.
+
+    A circulant embeds as a balanced regular Cayley map exactly when it is
+    rotational, so `bool(find_all_rotations(g))` also answers that question.
     """
     n = g.n
     gcds = {gcd(s, n) for s in g.conn}
@@ -121,18 +129,13 @@ def find_all_rotations(g: Circulant) -> list[int]:
     return sorted(found)
 
 
-def cayley_map_embeddable(g: Circulant) -> bool:
-    """A circulant embeds as a balanced regular Cayley map iff it is
-    rotational."""
-    return bool(find_all_rotations(g))
-
-
 @dataclass(frozen=True)
 class GossipCertificate:
     """Evidence that the gossiping time of g meets the rotation-based bound.
 
-    When the fixed point set is empty the bound is the exact trivial value
-    (n-1)/d; otherwise independence plus non-cut certify ceil((n-1)/d).
+    The bound is ceil((n-1)/d).  When the fixed point set is empty every
+    orbit has length d, so d divides n-1 and the bound is the exact trivial
+    value; otherwise independence plus non-cut certify it.
     """
 
     n: int
@@ -160,21 +163,9 @@ def gossip_certificate(
     rep = rotation_report(g.n, w) if report is None else report
     if (rep.n, rep.w) != (g.n, w % g.n):
         raise ValueError(f"the report is for w = {rep.w} mod {rep.n}, not {w % g.n} mod {g.n}")
-    if not rep.fixed:
-        return GossipCertificate(
-            n=g.n,
-            w=rep.w,
-            d=rep.d,
-            fixed=(),
-            independent=True,
-            vertex_cut=False,
-            holds=True,
-            bound=(g.n - 1) // rep.d,
-            exact=True,
-        )
-    independent = g.is_independent_set(rep.fixed)
-    vertex_cut = g.is_vertex_cut(rep.fixed)
-    holds = independent and not vertex_cut
+    exact = not rep.fixed
+    independent = exact or g.is_independent_set(rep.fixed)
+    vertex_cut = not exact and g.is_vertex_cut(rep.fixed)
     return GossipCertificate(
         n=g.n,
         w=rep.w,
@@ -182,7 +173,7 @@ def gossip_certificate(
         fixed=rep.fixed,
         independent=independent,
         vertex_cut=vertex_cut,
-        holds=holds,
-        bound=ceil((g.n - 1) / rep.d),
-        exact=False,
+        holds=independent and not vertex_cut,
+        bound=-(-(g.n - 1) // rep.d),
+        exact=exact,
     )

@@ -181,6 +181,13 @@ class TestVerify:
         c = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
         assert not verify_first_kind_frobenius(c).regular_on_s
 
+    def test_asymmetric_subgroup_raises(self):
+        # <3> = {1, 3, 9} in Z_13 is not closed under negation (d = 3 is odd)
+        c = FrobeniusClass(13, 3, 3, (1, 3, 9), (1,))
+        assert subgroup_of(3, 13) == c.subgroup
+        with pytest.raises(ValueError, match="not symmetric under negation"):
+            verify_first_kind_frobenius(c)
+
     def test_stabilizer_bruteforce_equivalence(self):
         # exhaustive stabilizer triviality equals the gcd criterion
         for n, h in [(91, 90), (27, 8), (6253, 5507), (169, 70)]:

@@ -1,13 +1,14 @@
 from math import gcd
 
+import numpy as np
 import pytest
+from oracles import bfs_loop
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
-from frobcirc.errors import ExponentTooSmall, NotACut
+from frobcirc.errors import ExponentTooSmall
 from frobcirc.gamma import (
     GAMMA_Q_LIMIT,
-    blocked_path_witness,
     build_gamma,
     connection_closed_form,
     gamma_fixed_points,
@@ -140,10 +141,14 @@ class TestDichotomy:
 
 class TestWitness:
     def test_values(self):
-        assert blocked_path_witness(3, 3, 1) == 4
-        assert blocked_path_witness(5, 3, 1) == 6
-        assert blocked_path_witness(3, 4, 2) == 4
+        for (p, e, r), witness in (((3, 3, 1), 4), ((5, 3, 1), 6), ((3, 4, 2), 4)):
+            assert verify_theorem_q(p, e, r).witness == witness
+            spec, g = build_gamma(p, e, r)
+            blocked = np.zeros(spec.q, dtype=np.bool_)
+            blocked[list(gamma_fixed_points(spec))] = True
+            assert bfs_loop(spec.q, g.conn, 0, blocked)[witness] == -1
 
     def test_r0_rejected(self):
-        with pytest.raises(NotACut):
-            blocked_path_witness(3, 3, 0)
+        report = verify_theorem_q(3, 3, 0)
+        assert not report.vertex_cut
+        assert report.witness is None

@@ -11,7 +11,6 @@ from frobcirc.numtheory import (
     euler_phi,
     factorize,
     mod_inverse,
-    mod_pow,
     multiplicative_order,
     ord_p,
     primitive_root,
@@ -56,19 +55,6 @@ class TestFactorize:
             assert (n // p**e) % p != 0  # exponent maximal
         assert prod == n
         assert list(f.primes) == sorted(f.primes)
-
-
-class TestModPow:
-    def test_table1_components(self):
-        assert mod_pow(2, 39, 169) == 99
-        assert mod_pow(2, 9, 37) == 31
-
-    def test_zero_exponent(self):
-        assert mod_pow(123, 0, 7) == 1
-
-    def test_rejects_small_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
 
 
 class TestModInverse:
@@ -206,3 +192,29 @@ class TestPadicValuationFamily:
                 assert ord_p(value - 1, p) == k + 1
             else:
                 assert ord_p(value + 1, p) == k + 1
+
+
+class TestSympyCrossCheck:
+    """Each routine against sympy's independent implementation; skipped when
+    sympy is not installed."""
+
+    @pytest.fixture
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def test_factorize_and_euler_phi(self, sympy):
+        for n in range(1, 5000):
+            f = factorize(n)
+            assert dict(f.factors) == sympy.factorint(n), n
+            assert euler_phi(f) == sympy.totient(n), n
+
+    def test_multiplicative_order(self, sympy):
+        for m in range(2, 800):
+            for a in range(1, 40):
+                if gcd(a, m) == 1:
+                    assert multiplicative_order(a, m) == sympy.n_order(a, m), (a, m)
+
+    def test_primitive_root(self, sympy):
+        for p in sympy.primerange(3, 400):
+            for e in (1, 2, 3):
+                assert primitive_root(p, e) == sympy.primitive_root(p**e), (p, e)

@@ -17,7 +17,6 @@ from frobcirc.errors import NotARotation, NotAUnit
 from frobcirc.harts import tl_graph
 from frobcirc.numtheory import factorize
 from frobcirc.rotation import (
-    cayley_map_embeddable,
     find_all_rotations,
     gossip_certificate,
     is_complete_rotation,
@@ -56,6 +55,26 @@ class TestIsCompleteRotation:
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnit):
             is_complete_rotation(Circulant(9, (3, 6)), 3)
+
+    def test_every_symmetric_set_and_unit_up_to_14(self):
+        # every unit, not only find_all_rotations' candidates: this reaches
+        # w S = S with a short orbit of s0 (as for TL19 and w = 7) and
+        # |S| = 1 (Circulant(4, (2,)))
+        seen_short, seen_single = False, False
+        for n in range(3, 15):
+            units = [w for w in range(1, n) if gcd(w, n) == 1]
+            pairs = [(s, n - s) for s in range(1, n // 2 + 1)]
+            for size in range(1, len(pairs) + 1):
+                for chosen in combinations(pairs, size):
+                    conn = tuple(sorted({x for pair in chosen for x in pair}))
+                    g = Circulant(n, conn)
+                    expected = rotations_loop(n, conn)
+                    for w in units:
+                        assert is_complete_rotation(g, w) == (w in expected), (n, conn, w)
+                        invariant = sorted(w * s % n for s in conn) == list(conn)
+                        seen_short |= invariant and w not in expected
+                    seen_single |= len(conn) == 1
+        assert seen_short and seen_single
 
 
 class TestRotationReport:
@@ -131,9 +150,10 @@ class TestFindAllRotations:
         assert find_all_rotations(g) == [9]
 
     def test_embeddable(self):
-        assert cayley_map_embeddable(TL19)
-        assert cayley_map_embeddable(Circulant(3, (1, 2)))
-        assert not cayley_map_embeddable(Z8_MIXED)
+        # a circulant is a balanced regular Cayley map iff it is rotational
+        assert find_all_rotations(TL19)
+        assert find_all_rotations(Circulant(3, (1, 2)))
+        assert not find_all_rotations(Z8_MIXED)
 
     def test_non_unit_connection_set(self):
         # every element of S is 3 times a unit mod 3: rotations lift from Z_3
