@@ -27,9 +27,7 @@ from .numtheory import (
     crt_combine,
     euler_phi,
     factorize,
-    mod_inverse,
     multiplicative_order,
-    ord_p,
     primitive_root,
 )
 from .rotation import (
@@ -68,9 +66,7 @@ __all__ = [
     "is_semiregular",
     "iso_multiplier",
     "max_degree_D",
-    "mod_inverse",
     "multiplicative_order",
-    "ord_p",
     "primitive_root",
     "rotation_report",
     "tl_diameter",

@@ -4,13 +4,15 @@ one element per prime-order subgroup, unit-multiplier scan.
 One vectorized numpy implementation per kernel.  The tests compare each one
 against a plain-loop oracle (tests/oracles.py).
 
-All kernels take int64 arrays; moduli stay far below 2**31, so products fit
-comfortably in int64.
+All kernels take int64 arrays of residues mod n.  The sums in _sumset and
+bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces;
+the products in semiregular_scan and multiplier_scan fit for n <= 10**9 =
+FACTOR_LIMIT, which bounds every class's n and which multiplier_scan checks.
 """
 
 import numpy as np
 
-from .numtheory import factorize
+from .numtheory import FACTOR_LIMIT, factorize
 
 BACKEND = "numpy"
 
@@ -131,6 +133,8 @@ def semiregular_scan(n, subgroup):
 
 def multiplier_scan(n, conn_a, conn_b):
     """Smallest unit sigma with sigma * conn_a inside conn_b, or 0."""
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"n = {n} exceeds the supported limit {FACTOR_LIMIT}")
     mask = np.zeros(n, np.bool_)
     mask[conn_b] = True
     units = np.arange(1, n, dtype=np.int64)

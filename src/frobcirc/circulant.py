@@ -14,6 +14,8 @@ import numpy as np
 from . import _kernels
 from .errors import DegenerateCut, Disconnected
 
+MODULUS_LIMIT = 2**62  # the kernels add two vertices in int64
+
 
 @dataclass(frozen=True)
 class Circulant:
@@ -27,6 +29,8 @@ class Circulant:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"modulus {self.n} must be >= 3")
+        if self.n >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {self.n} must be below 2**62, so vertex sums fit int64")
         conn = tuple(sorted(set(self.conn)))
         if not conn:
             raise ValueError("connection set is empty")

@@ -18,6 +18,7 @@ import sys
 from . import _kernels
 from .circulant import Circulant
 from .classifier import (
+    DEGREE_LIMIT,
     admissible_degrees,
     enumerate_classes,
     verify_first_kind_frobenius,
@@ -41,13 +42,6 @@ def signed_form(h: int, n: int) -> str:
     return f"-[{n - h}]" if h > n // 2 else f"+[{h}]"
 
 
-def conn_pairs(conn, n) -> list[int]:
-    """One base residue per +-pair, ascending, for a sorted connection set
-    closed under negation mod an odd n: exactly one of s and n - s is below
-    n / 2."""
-    return [s for s in conn if 2 * s < n]
-
-
 def class_record(c, oracle: bool) -> dict:
     """The output record of one class.
 
@@ -56,7 +50,7 @@ def class_record(c, oracle: bool) -> dict:
     one |S|-cycle.  Otherwise the general test decides.
     """
     report = verify_first_kind_frobenius(c)
-    g = c.graph()
+    g = c.graph
     frobenius = report.ok
     if oracle:
         frobenius = frobenius and bool(_kernels.semiregular_scan(c.n, g._conn_arr))
@@ -67,7 +61,8 @@ def class_record(c, oracle: bool) -> dict:
         "h": c.h,
         "h_signed": signed_form(c.h, c.n),
         "connection_set": list(c.subgroup),
-        "connection_pairs": conn_pairs(g.conn, c.n),
+        # n is odd, so exactly one of s and n - s is below n / 2
+        "connection_pairs": [s for s in g.conn if 2 * s < c.n],
         "rotational": report.regular_on_s or is_complete_rotation(g, c.h),
         "frobenius": frobenius,
         "gossip_bound": (c.n - 1) // c.d,
@@ -162,6 +157,8 @@ def cmd_classify(args, out) -> int:
             )
             return 1
         degrees = [args.degree]
+    if degrees[-1] > DEGREE_LIMIT:  # refused before any class is built
+        raise ValueError(f"degree {degrees[-1]} exceeds the supported limit {DEGREE_LIMIT}")
     oracle = args.oracle
     if oracle is None:
         oracle = n <= ORACLE_AUTO_LIMIT

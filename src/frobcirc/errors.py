@@ -6,7 +6,7 @@ class FrobcircError(ValueError):
 
 
 class NotInvertible(FrobcircError):
-    """Modular inverse requested for a non-coprime pair."""
+    """Residue is not a unit modulo m, so it has no multiplicative order."""
 
 
 class EvenKernel(FrobcircError):

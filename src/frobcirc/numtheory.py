@@ -61,15 +61,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; requires gcd(a, m) = 1."""
-    if m < 2:
-        raise ValueError(f"modulus {m} must be >= 2")
-    if gcd(a, m) != 1:
-        raise NotInvertible(f"{a} is not invertible mod {m}")
-    return pow(a, -1, m)
-
-
 def euler_phi(f: Factorization) -> int:
     phi = 1
     for p, e in f.factors:
@@ -117,7 +108,8 @@ def primitive_root(p: int, e: int = 1) -> int:
 def crt_combine(residues: list[tuple[int, int]]) -> int:
     """Unique x mod prod(m_i) with x = r_i (mod m_i), for pairwise coprime m_i.
 
-    Implemented as x = sum (n/m_i) * b_i * r_i with b_i * (n/m_i) = 1 (mod m_i).
+    Implemented as x = sum (n/m_i) * b_i * r_i with b_i * (n/m_i) = 1 (mod m_i);
+    the m_i are pairwise coprime, so each b_i exists.
     """
     if not residues:
         raise ValueError("need at least one residue")
@@ -131,19 +123,5 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
     x = 0
     for r, m in residues:
         ni = n // m
-        x = (x + ni * mod_inverse(ni, m) * r) % n
+        x = (x + ni * pow(ni, -1, m) * r) % n
     return x
-
-
-def ord_p(n: int, p: int) -> int:
-    """Exponent of the prime p in the factorization of n != 0."""
-    if n == 0:
-        raise ValueError("ord_p(0) is undefined")
-    if p < 2:
-        raise ValueError(f"{p} is not a prime")
-    n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k

@@ -1,13 +1,12 @@
-"""Complete rotations: verification, orbit decomposition, gossip certificates.
+"""Complete rotations: verification, fixed points, gossip certificates.
 
 A complete rotation of a circulant is a unit w whose multiplication action
 fixes the connection set S setwise and permutes it in a single |S|-cycle.
 Its fixed points are the nonzero residues lying in <w>-orbits shorter than
-the order of w; the free part consists of the full-length orbits.
+the order of w.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -19,48 +18,18 @@ from .numtheory import factorize, multiplicative_order
 
 @dataclass(frozen=True)
 class RotationReport:
-    """The <w>-orbit structure of Z_n \\ {0} for a unit w of order d.
+    """The fixed point set F of a unit w of order d acting on Z_n \\ {0}.
 
-    A residue v lies in a short orbit exactly when w^(d/l) v = v for some
-    prime l | d, that is, when v is a multiple of n / gcd(n, w^(d/l) - 1).
-    So F (`fixed`) is the union, over the primes l | d, of those nonzero
-    multiples, and `free` is the rest of Z_n \\ {0}.
-
-    `free` and `orbits` are computed on first access and are not dataclass
-    fields, so they take no part in `==` or `repr`.
+    A residue v lies in a <w>-orbit shorter than d exactly when
+    w^(d/l) v = v for some prime l | d, that is, when v is a multiple of
+    n / gcd(n, w^(d/l) - 1).  So F (`fixed`) is the union, over the primes
+    l | d, of those nonzero multiples.
     """
 
     n: int
     w: int
     d: int  # order of w mod n
     fixed: tuple[int, ...]  # union of short orbits
-
-    @cached_property
-    def free(self) -> tuple[int, ...]:
-        """Union of the length-d orbits: Z_n \\ {0} without `fixed`."""
-        short = np.zeros(self.n, dtype=np.bool_)
-        short[0] = True
-        short[list(self.fixed)] = True
-        return tuple(np.flatnonzero(~short).tolist())
-
-    @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of Z_n \\ {0} into <w>-orbits, each listed from its
-        least element, in increasing order of that element."""
-        n, w = self.n, self.w
-        seen = [False] * n
-        orbits = []
-        for v in range(1, n):
-            if seen[v]:
-                continue
-            orbit = []
-            x = v
-            while not seen[x]:
-                seen[x] = True
-                orbit.append(x)
-                x = x * w % n
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
 
 
 def _require_unit(n: int, w: int):
@@ -89,7 +58,7 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
 
 
 def rotation_report(n: int, w: int) -> RotationReport:
-    """Split Z_n \\ {0} into the fixed points of w and the free part."""
+    """The order of w and its fixed points on Z_n \\ {0}."""
     _require_unit(n, w)
     w %= n
     d = multiplicative_order(w, n)

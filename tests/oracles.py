@@ -5,6 +5,8 @@ rotation search and fixed-point closed form in frobcirc.rotation, the
 validation and independence test of Circulant, the semiregularity
 criterion of frobcirc.classifier and the closed-form TL diameter of
 frobcirc.harts are each compared with an independent implementation here.
+`orbits_loop` and `ord_p` are the only orbit partition and p-adic valuation
+the tests have; the package computes neither.
 """
 
 import numpy as np
@@ -58,6 +60,49 @@ def semiregular_loop(n, subgroup):
             if (h * x) % n == x:
                 return False
     return True
+
+
+def cyclic_subgroups_loop(n):
+    """Every cyclic subgroup <h> of Z_n^*, each once, as a sorted tuple: the
+    powers of every unit h, walked until they return to 1."""
+    found = set()
+    for h in range(1, n):
+        a = h
+        b = n
+        while b:
+            a, b = b, a % b
+        if a != 1:
+            continue
+        powers = [1]
+        x = h % n
+        while x != 1:
+            powers.append(x)
+            x = x * h % n
+        found.add(tuple(sorted(powers)))
+    return found
+
+
+def face_lengths_loop(n, conn, w):
+    """Face lengths of the Cayley map of Cay(Z_n, conn) whose rotation at
+    every vertex is s -> w s: the face walk takes the dart (v, s) to
+    (v + s, -w s mod n), the dart after the reverse of (v, s) in the
+    rotation at v + s."""
+    conn = list(conn)
+    seen = set()
+    lengths = []
+    for v in range(n):
+        for s in conn:
+            if (v, s) in seen:
+                continue
+            length = 0
+            dart = (v, s)
+            while dart not in seen:
+                seen.add(dart)
+                length += 1
+                u, t = dart
+                dart = ((u + t) % n, -w * t % n)
+            lengths.append(length)
+    return lengths
 
 
 def multiplier_loop(n, conn_a, conn_b):
@@ -130,6 +175,20 @@ def orbits_loop(n, w):
         orbits.append(tuple(orbit))
         (free if len(orbit) == d else fixed).extend(orbit)
     return tuple(orbits), tuple(sorted(fixed)), tuple(sorted(free))
+
+
+def ord_p(n, p):
+    """Exponent of the prime p in the factorization of n != 0."""
+    if n == 0:
+        raise ValueError("ord_p(0) is undefined")
+    if p < 2:
+        raise ValueError(f"{p} is not a prime")
+    n = abs(n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
 def independent_loop(n, conn, members):

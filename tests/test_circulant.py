@@ -43,6 +43,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Circulant(2, (1,))
 
+    def test_modulus_limit(self):
+        # vertex sums x + s < 2n must fit int64
+        n = 2**62 - 1
+        assert Circulant(n, (1, n - 1)).conn == (1, n - 1)
+        for n in (2**62, 2**64 + 1):
+            with pytest.raises(ValueError, match="below 2\\*\\*62"):
+                Circulant(n, (1, n - 1))
+
     def test_validation_matches_set_based_checks(self):
         # duplicates, 0, n, negatives, elements past n and asymmetric sets;
         # half of the sets are made symmetric before the noise is added
@@ -240,11 +248,17 @@ class TestIsoMultiplier:
 
     def test_distinct_classes_not_isomorphic(self):
         a, b = enumerate_classes(factorize(6253), 4)
-        assert iso_multiplier(a.graph(), b.graph()) is None
+        assert iso_multiplier(a.graph, b.graph) is None
 
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             iso_multiplier(cycle(5), cycle(7))
+
+    def test_modulus_limit(self):
+        # the scan multiplies two residues in int64, so n stays at most 10^9
+        g = cycle(10**9 + 7)
+        with pytest.raises(ValueError, match="supported limit"):
+            iso_multiplier(g, g)
 
     def test_isomorphic_pair_without_multiplier(self):
         # Z_16 is not a CI-group: these two are isomorphic, by a bijection

@@ -1,11 +1,12 @@
 from math import gcd
 
 import pytest
-from oracles import semiregular_by_local_orders
+from oracles import cyclic_subgroups_loop, semiregular_by_local_orders, semiregular_loop
 
 from frobcirc.circulant import iso_multiplier
 from frobcirc.cli import class_record
 from frobcirc.classifier import (
+    DEGREE_LIMIT,
     FrobeniusClass,
     admissible_degrees,
     all_classes,
@@ -72,6 +73,17 @@ class TestDegrees:
     def test_admissible_9(self):
         assert admissible_degrees(factorize(9)) == [2]
 
+    def test_admissible_matches_even_scan(self):
+        for n in range(3, 20000, 2):
+            f = factorize(n)
+            D = max_degree_D(f)
+            assert admissible_degrees(f) == [d for d in range(2, D + 1, 2) if D % d == 0], n
+
+    def test_admissible_large_prime(self):
+        # D = p - 1 = 2^6 3^2 13 83 1609 has 6 * 3 * 2^3 = 144 even divisors
+        degrees = admissible_degrees(factorize(999999937))
+        assert len(degrees) == 144 and degrees[-1] == 999999936
+
 
 class TestConstructH:
     def test_table1_values(self):
@@ -131,7 +143,40 @@ class TestEnumerate:
         classes = enumerate_classes(F6253, 12)
         for i, a in enumerate(classes):
             for b in classes[i + 1 :]:
-                assert iso_multiplier(a.graph(), b.graph()) is None
+                assert iso_multiplier(a.graph, b.graph) is None
+
+    def test_degree_limit(self):
+        f = factorize(999999937)
+        with pytest.raises(ValueError, match="supported limit"):
+            enumerate_classes(f, 999999936)
+        assert DEGREE_LIMIT < 999999936
+        assert [c.subgroup for c in enumerate_classes(f, 2)] == [(1, 999999936)]
+
+    def test_complete_from_the_definition(self):
+        """Every rotational first-kind Frobenius circulant on Z_n, odd n < 400,
+        derived from the definition and matched with `all_classes`.
+
+        Such a graph is Cay(Z_n, a^H) with H <= Aut(Z_n) = Z_n^* acting
+        semiregularly on Z_n \\ {0}, and its complete rotation generates H, so
+        H is cyclic (an abelian Frobenius complement is cyclic anyway).
+        Every element of a^H has the gcd of a with n, so a^H generates Z_n,
+        as a connected graph needs, only if a is a unit, and multiplying by
+        a^(-1) turns the graph into Cay(Z_n, H).  S = H is closed under
+        negation, so |H| is even.  Distinct subgroups of Z_n^* give
+        non-isomorphic graphs by Toida's conjecture, now a theorem (Muzychuk,
+        Klin & Poeschel 2001; Dobson & Morris 2002).  So the classes are
+        exactly the cyclic subgroups of even order that act semiregularly.
+        """
+        count = 0
+        for n in range(3, 400, 2):
+            expected = {
+                sub
+                for sub in cyclic_subgroups_loop(n)
+                if len(sub) % 2 == 0 and semiregular_loop(n, sub)
+            }
+            assert {c.subgroup for c in all_classes(factorize(n))} == expected, n
+            count += len(expected)
+        assert count == 603
 
 
 class TestSemiregular:
@@ -205,7 +250,7 @@ class TestVerify:
                 report = verify_first_kind_frobenius(c)
                 assert report.semiregular == is_semiregular(n, c.subgroup), (n, c.h)
                 rotational = class_record(c, oracle=False)["rotational"]
-                assert rotational == is_complete_rotation(c.graph(), c.h), (n, c.h)
+                assert rotational == is_complete_rotation(c.graph, c.h), (n, c.h)
         # S != <h>: the record falls back to the general test, either way
         orbit_too_short = FrobeniusClass(13, 12, 4, subgroup_of(2, 13), (1,))
         wrong_degree = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))

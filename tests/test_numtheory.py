@@ -3,6 +3,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ord_p
 
 from frobcirc.errors import EvenKernel, NotInvertible
 from frobcirc.numtheory import (
@@ -10,9 +11,7 @@ from frobcirc.numtheory import (
     crt_combine,
     euler_phi,
     factorize,
-    mod_inverse,
     multiplicative_order,
-    ord_p,
     primitive_root,
 )
 
@@ -55,27 +54,6 @@ class TestFactorize:
             assert (n // p**e) % p != 0  # exponent maximal
         assert prod == n
         assert list(f.primes) == sorted(f.primes)
-
-
-class TestModInverse:
-    def test_example_values(self):
-        assert mod_inverse(37, 169) == 32
-        assert mod_inverse(169, 37) == 30
-
-    def test_identity(self):
-        assert mod_inverse(1, 97) == 1
-
-    def test_not_coprime(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse(6, 27)
-
-    @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=1, max_value=5000))
-    def test_inverse_property(self, m, a):
-        if gcd(a, m) != 1:
-            return
-        inv = mod_inverse(a, m)
-        assert 1 <= inv < m
-        assert inv * a % m == 1
 
 
 class TestMultiplicativeOrder:

@@ -3,7 +3,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from oracles import orbits_loop, rotations_loop
+from oracles import face_lengths_loop, orbits_loop, rotations_loop
 
 from frobcirc import rotation
 from frobcirc.circulant import Circulant
@@ -82,7 +82,7 @@ class TestRotationReport:
         rep = rotation_report(27, 8)
         assert rep.d == 6
         assert rep.fixed == tuple(range(3, 27, 3))
-        assert len(rep.free) == 18
+        assert 27 - 1 - len(rep.fixed) == 18  # the free part
 
     def test_prime_modulus_no_fixed_points(self):
         rep = rotation_report(19, 8)
@@ -91,7 +91,8 @@ class TestRotationReport:
     def test_6253_semiregular(self):
         rep = rotation_report(6253, 5507)
         assert rep.fixed == ()
-        assert all(len(o) == 4 for o in rep.orbits)
+        assert rep.d == 4
+        assert all(len(o) == 4 for o in orbits_loop(6253, 5507)[0])
 
     def test_orbit_partition_properties(self):
         for n in ORBIT_MODULI:
@@ -99,12 +100,13 @@ class TestRotationReport:
                 if gcd(w, n) != 1:
                     continue
                 rep = rotation_report(n, w)
-                assert len(rep.fixed) + len(rep.free) == n - 1
-                assert all(rep.d % len(o) == 0 for o in rep.orbits)
+                orbits, _, free = orbits_loop(n, w)
+                assert len(rep.fixed) + len(free) == n - 1
+                assert all(rep.d % len(o) == 0 for o in orbits)
                 # short orbits are proper divisors of d; free orbits full length
-                assert all(len(o) < rep.d for o in rep.orbits if o[0] in set(rep.fixed))
-                # F is <w>-invariant
                 fixed = set(rep.fixed)
+                assert all((len(o) < rep.d) == (o[0] in fixed) for o in orbits)
+                # F is <w>-invariant
                 assert {w * x % n for x in fixed} == fixed
 
     def test_closed_form_matches_orbit_walk(self):
@@ -113,21 +115,7 @@ class TestRotationReport:
                 if gcd(w, n) != 1:
                     continue
                 rep = rotation_report(n, w)
-                orbits, fixed, free = orbits_loop(n, w)
-                assert (rep.fixed, rep.free, rep.orbits) == (fixed, free, orbits), (n, w)
-
-    def test_orbits_not_a_field(self):
-        rep = rotation_report(27, 8)
-        assert "orbits" not in repr(rep)
-        assert rep == rotation_report(27, 8 + 27)
-        assert rep.orbits is rep.orbits  # computed once
-
-    def test_free_not_a_field(self):
-        rep = rotation_report(27, 8)
-        assert "free" not in repr(rep)
-        assert rep == rotation_report(27, 8 + 27)
-        assert rep.free is rep.free  # computed once
-        assert "free" not in rotation_report(270901, 902).__dict__  # not built by the report
+                assert rep.fixed == orbits_loop(n, w)[1], (n, w)
 
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
@@ -195,7 +183,7 @@ class TestFindAllRotations:
 
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
-            assert c.h in find_all_rotations(c.graph())
+            assert c.h in find_all_rotations(c.graph)
 
 
 class TestGossipCertificate:
@@ -257,7 +245,41 @@ class TestPathCriterion:
             reached = g.reachable_from(0, rep.fixed)
             orbit_reached = all(
                 any(v in reached for v in orbit)
-                for orbit in rep.orbits
+                for orbit in orbits_loop(q, h)[0]
                 if len(orbit) == rep.d
             )
             assert orbit_reached == (not g.is_vertex_cut(rep.fixed)), (q, h)
+
+
+class TestCayleyMap:
+    """The balanced regular Cayley map of a complete rotation w: the rotation
+    at every vertex is s -> w s.  A regular map is face-regular, and an
+    orientable surface has even Euler characteristic V - E + F."""
+
+    @staticmethod
+    def genus(g, w):
+        lengths = face_lengths_loop(g.n, g.conn, w)
+        assert len(set(lengths)) == 1, (g.n, w, sorted(set(lengths)))
+        chi = g.n - g.n * g.degree // 2 + len(lengths)
+        assert chi % 2 == 0, (g.n, w, chi)
+        return (2 - chi) // 2
+
+    def test_every_class_is_face_regular(self):
+        checked = 0
+        for n in (7, 13, 19, 37, 91, 6253):
+            for c in all_classes(factorize(n)):
+                genus = self.genus(c.graph, find_all_rotations(c.graph)[0])
+                assert genus >= 0
+                if c.d == 2:
+                    assert genus == 0  # the n-cycle bounds two n-gons
+                checked += 1
+        assert checked == 27
+
+    def test_known_genera(self):
+        k7 = Circulant(7, tuple(range(1, 7)))
+        assert find_all_rotations(k7)[0] == 3
+        assert self.genus(k7, 3) == 1  # K_7 triangulates the torus
+        tl91 = tl_graph(5)
+        assert 17 in find_all_rotations(tl91)
+        assert self.genus(tl91, 17) == 1  # the triangular lattice folded by the ideal
+        assert self.genus(TL19, 8) == 1
