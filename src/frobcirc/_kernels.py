@@ -20,6 +20,9 @@ BACKEND = "numpy"
 DENSE_RATIO = 4
 # The dense step's rounding is exact below this modulus (see _sumset).
 DENSE_MAX_N = 2**31
+# Largest n semiregular_scan takes: it holds about 24 bytes per residue of
+# [1, n), so 48 MB here, where n = 10**7 peaked at 268 MB RSS.
+SCAN_LIMIT = 2 * 10**6
 
 
 def _sumset(n, conn, members):
@@ -105,6 +108,8 @@ def semiregular_scan(n, subgroup):
     one per distinct prime of d, instead of d - 1.  `subgroup` must be
     closed under multiplication mod n.
     """
+    if n > SCAN_LIMIT:
+        raise ValueError(f"n = {n} exceeds the scan's limit {SCAN_LIMIT}")
     elems = np.asarray(subgroup, dtype=np.int64)
     d = elems.size
     reps = []

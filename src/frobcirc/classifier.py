@@ -20,13 +20,17 @@ from .errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
 from .numtheory import Factorization, crt_combine, factorize, primitive_root
 
 # Largest degree enumerated.  On a 2-vCPU machine `classify 1999993`, whose
-# K_p has d = 1,999,992, takes 8-11 s at 517 MB peak RSS.
+# K_p has d = 1,999,992, takes about 7 s at 476 MB peak RSS (10 s and
+# 634 MB with --format json).
 DEGREE_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
 class FrobeniusClass:
-    """One isomorphism class: Cay(Z_n, subgroup) with canonical rotation h."""
+    """One isomorphism class: Cay(Z_n, subgroup) with canonical rotation h.
+
+    `subgroup` is the ascending element list of <h>, as `subgroup_of` gives.
+    """
 
     n: int
     d: int
@@ -108,21 +112,17 @@ def subgroup_of(h: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
-def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
-    """All phi(d)^(l-1) classes at degree d, ascending by canonical h.
-
-    The canonical representative of each class is the h built from the
-    m-tuple with m_1 = 1 (every class contains exactly one such tuple).
-    A degree above DEGREE_LIMIT raises ValueError.
-    """
-    _check_degree(f, d)
+def _check_limit(d: int):
     if d > DEGREE_LIMIT:
         raise ValueError(f"degree {d} exceeds the supported limit {DEGREE_LIMIT}")
-    units = [m for m in range(1, d) if gcd(m, d) == 1]
+
+
+def _classes_at(f: Factorization, d: int, comps) -> list[FrobeniusClass]:
     tuples = [(1,)]
-    for _ in range(f.num_primes - 1):
-        tuples = [t + (u,) for t in tuples for u in units]
-    comps = _local_components(f)
+    if f.num_primes > 1:
+        units = [m for m in range(1, d) if gcd(m, d) == 1]
+        for _ in range(f.num_primes - 1):
+            tuples = [t + (u,) for t in tuples for u in units]
     classes = [
         FrobeniusClass(f.n, d, h, subgroup_of(h, f.n), m)
         for m in tuples
@@ -132,12 +132,28 @@ def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
     return classes
 
 
+def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
+    """All phi(d)^(l-1) classes at degree d, ascending by canonical h.
+
+    The canonical representative of each class is the h built from the
+    m-tuple with m_1 = 1 (every class contains exactly one such tuple).
+    A degree above DEGREE_LIMIT raises ValueError.
+    """
+    _check_degree(f, d)
+    _check_limit(d)
+    return _classes_at(f, d, _local_components(f))
+
+
 def all_classes(f: Factorization) -> list[FrobeniusClass]:
-    """Classes for every admissible degree, ascending by (d, h)."""
-    out = []
-    for d in admissible_degrees(f):
-        out.extend(enumerate_classes(f, d))
-    return out
+    """Classes for every admissible degree, ascending by (d, h).
+
+    The primitive roots are found once for all degrees, and a largest
+    degree above DEGREE_LIMIT raises ValueError before any class is built.
+    """
+    degrees = admissible_degrees(f)
+    _check_limit(degrees[-1])
+    comps = _local_components(f)
+    return [c for d in degrees for c in _classes_at(f, d, comps)]
 
 
 def is_semiregular(n: int, subgroup) -> bool:
@@ -152,23 +168,31 @@ class FrobeniusReport:
     semiregular: bool
     connected: bool
     degree_bound: bool  # d < smallest prime factor of n
+    symmetric: bool  # S = -S, so -1 is in H and |H| is even
 
     @property
     def ok(self) -> bool:
-        return self.regular_on_s and self.semiregular and self.connected and self.degree_bound
+        return (
+            self.regular_on_s
+            and self.semiregular
+            and self.connected
+            and self.degree_bound
+            and self.symmetric
+        )
 
 
 def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
-    """Check the four defining conditions on a constructed class.
+    """Check the defining conditions on a constructed class, S = c.subgroup.
 
-    The class's subgroup must be closed under negation, as every enumerated
-    class is (d is even, so -1 is in <h>); otherwise building its graph
-    raises ValueError from `Circulant`.
+    No graph is built: S is read as it is, and S generates Z_n, so
+    Cay(Z_n, S) is connected, iff gcd(n, s_1, ..., s_k) = 1.
 
     S = <h> makes H regular on S: multiplication by H is transitive on the
     group H itself and stabilizers in a group action on itself are trivial.
     1 in S and h S = S put <h> inside S, so S = <h> exactly when the order
     of h, checked by its powers h^(d/l) for the primes l | d, is |S| = d.
+    A group S is closed under negation iff it holds -1, which is then one
+    membership test; otherwise every element's negative is looked up.
 
     Semiregularity then needs one gcd per prime l | d.  An element x of H
     fixes a nonzero residue v iff gcd(x - 1, n) > 1.  If x != 1 fixes v,
@@ -178,24 +202,26 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     <h> is semiregular iff gcd(h^(d/l) - 1, n) = 1 for every prime l | d.
     When S != <h>, `semiregular` still describes S, by `is_semiregular`.
     """
-    g = c.graph
-    conn = g.conn  # sorted and distinct
-    h, n, d = c.h, c.n, c.d
+    S, h, n, d = c.subgroup, c.h, c.n, c.d
+    members = set(S)
     gens = [pow(h, d // l, n) for l in factorize(d).primes]
     regular_on_s = (
-        conn[0] == 1
-        and len(conn) == d
+        1 in members
+        and len(members) == d
         and pow(h, d, n) == 1
         and 1 not in gens
-        and {h * s % n for s in conn} == set(conn)
+        and {h * s % n for s in S} == members
     )
     if regular_on_s:
         semiregular = all(gcd(x - 1, n) == 1 for x in gens)
+        symmetric = n - 1 in members
     else:
-        semiregular = is_semiregular(n, c.subgroup)
+        semiregular = is_semiregular(n, S)
+        symmetric = all(n - s in members for s in members)
     return FrobeniusReport(
         regular_on_s=regular_on_s,
         semiregular=semiregular,
-        connected=g.is_connected(),
+        connected=gcd(n, *S) == 1,
         degree_bound=d < factorize(n).smallest_prime,
+        symmetric=symmetric,
     )

@@ -14,12 +14,13 @@ import csv
 import functools
 import json
 import sys
+from bisect import bisect_left
 
 from . import _kernels
 from .circulant import Circulant
 from .classifier import (
-    DEGREE_LIMIT,
     admissible_degrees,
+    all_classes,
     enumerate_classes,
     verify_first_kind_frobenius,
 )
@@ -47,25 +48,25 @@ def class_record(c, oracle: bool) -> dict:
 
     When the report shows S = <h>, h is a complete rotation: S is then the
     single <h>-orbit of 1 in S, so multiplication by h maps S onto itself in
-    one |S|-cycle.  Otherwise the general test decides.
+    one |S|-cycle.  Otherwise the general test decides, on the class's graph.
     """
     report = verify_first_kind_frobenius(c)
-    g = c.graph
+    n, S = c.n, c.subgroup
     frobenius = report.ok
     if oracle:
-        frobenius = frobenius and bool(_kernels.semiregular_scan(c.n, g._conn_arr))
+        frobenius = frobenius and bool(_kernels.semiregular_scan(n, S))
     return {
-        "n": c.n,
+        "n": n,
         "d": c.d,
         "m_vector": list(c.m_vector),
         "h": c.h,
-        "h_signed": signed_form(c.h, c.n),
-        "connection_set": list(c.subgroup),
-        # n is odd, so exactly one of s and n - s is below n / 2
-        "connection_pairs": [s for s in g.conn if 2 * s < c.n],
-        "rotational": report.regular_on_s or is_complete_rotation(g, c.h),
+        "h_signed": signed_form(c.h, n),
+        "connection_set": list(S),
+        # n is odd, so exactly one of s and n - s is below n / 2; S is sorted
+        "connection_pairs": list(S[: bisect_left(S, (n + 1) // 2)]),
+        "rotational": report.regular_on_s or is_complete_rotation(c.graph, c.h),
         "frobenius": frobenius,
-        "gossip_bound": (c.n - 1) // c.d,
+        "gossip_bound": (n - 1) // c.d,
     }
 
 
@@ -82,22 +83,32 @@ CLASS_COLUMNS = [
 ]
 
 
+@functools.cache
+def _json_key(key) -> str:
+    return f"    {json.dumps(key)}: "
+
+
 def _json_records(records: list[dict]) -> str:
     """json.dumps(records, indent=2) for flat records whose lists hold ints,
-    with each int list joined in one step."""
+    with each int list joined in one step and ints and bools written
+    directly."""
     if not records:
         return "[]"
     objs = []
     for rec in records:
         fields = []
         for key, value in rec.items():
-            if not isinstance(value, list):
+            if value is True or value is False:
+                value = "true" if value else "false"
+            elif type(value) is int:
+                value = str(value)
+            elif not isinstance(value, list):
                 value = json.dumps(value)
             elif value:
                 value = "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
             else:
                 value = "[]"
-            fields.append(f"    {json.dumps(key)}: {value}")
+            fields.append(_json_key(key) + value)
         objs.append("  {\n" + ",\n".join(fields) + "\n  }")
     return "[\n" + ",\n".join(objs) + "\n]"
 
@@ -148,17 +159,18 @@ def cmd_classify(args, out) -> int:
         )
         return 1
     f = factorize(n)
-    degrees = admissible_degrees(f)
-    if args.degree is not None:
-        if args.degree not in degrees:
-            print(
-                f"no classes: degree {args.degree} is not an even divisor of D for n = {n}",
-                file=sys.stderr,
-            )
-            return 1
-        degrees = [args.degree]
-    if degrees[-1] > DEGREE_LIMIT:  # refused before any class is built
-        raise ValueError(f"degree {degrees[-1]} exceeds the supported limit {DEGREE_LIMIT}")
+    if args.degree is not None and args.degree not in admissible_degrees(f):
+        print(
+            f"no classes: degree {args.degree} is not an even divisor of D for n = {n}",
+            file=sys.stderr,
+        )
+        return 1
+    if args.oracle and n > _kernels.SCAN_LIMIT:  # refused before any class is built
+        raise ValueError(
+            f"n = {n} exceeds the oracle's limit {_kernels.SCAN_LIMIT} (pass --no-oracle)"
+        )
+    # a degree above DEGREE_LIMIT is refused here, before any class is built
+    classes = all_classes(f) if args.degree is None else enumerate_classes(f, args.degree)
     oracle = args.oracle
     if oracle is None:
         oracle = n <= ORACLE_AUTO_LIMIT
@@ -168,11 +180,7 @@ def cmd_classify(args, out) -> int:
                 "(pass --oracle to force)",
                 file=sys.stderr,
             )
-    records = []
-    for d in degrees:
-        for c in enumerate_classes(f, d):
-            records.append(class_record(c, oracle))
-    render_records(records, args.format, out)
+    render_records([class_record(c, oracle) for c in classes], args.format, out)
     return 0
 
 

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from oracles import cyclic_subgroups_loop, semiregular_by_local_orders, semiregular_loop
 
+from frobcirc import classifier
 from frobcirc.circulant import iso_multiplier
 from frobcirc.cli import class_record
 from frobcirc.classifier import (
@@ -145,10 +146,18 @@ class TestEnumerate:
             for b in classes[i + 1 :]:
                 assert iso_multiplier(a.graph, b.graph) is None
 
-    def test_degree_limit(self):
+    def test_degree_limit(self, monkeypatch):
         f = factorize(999999937)
         with pytest.raises(ValueError, match="supported limit"):
             enumerate_classes(f, 999999936)
+
+        def no_class(*args):
+            raise AssertionError("a class was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(classifier, "subgroup_of", no_class)
+            with pytest.raises(ValueError, match="degree 999999936 exceeds the supported limit"):
+                all_classes(f)
         assert DEGREE_LIMIT < 999999936
         assert [c.subgroup for c in enumerate_classes(f, 2)] == [(1, 999999936)]
 
@@ -226,12 +235,19 @@ class TestVerify:
         c = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
         assert not verify_first_kind_frobenius(c).regular_on_s
 
-    def test_asymmetric_subgroup_raises(self):
+    def test_asymmetric_subgroup_fails(self):
         # <3> = {1, 3, 9} in Z_13 is not closed under negation (d = 3 is odd)
         c = FrobeniusClass(13, 3, 3, (1, 3, 9), (1,))
         assert subgroup_of(3, 13) == c.subgroup
-        with pytest.raises(ValueError, match="not symmetric under negation"):
-            verify_first_kind_frobenius(c)
+        report = verify_first_kind_frobenius(c)
+        assert report.regular_on_s and report.semiregular and report.connected
+        assert report.symmetric is False
+        assert report.ok is False
+        # S != <h> (5 is outside S): negation is checked element by element
+        report = verify_first_kind_frobenius(FrobeniusClass(13, 3, 5, (1, 3, 9), (1,)))
+        assert not report.regular_on_s and not report.symmetric
+        for S in [(1, 5, 8, 12), (1, 12)]:
+            assert verify_first_kind_frobenius(FrobeniusClass(13, 4, 2, S, (1,))).symmetric
 
     def test_stabilizer_bruteforce_equivalence(self):
         # exhaustive stabilizer triviality equals the gcd criterion
@@ -256,6 +272,14 @@ class TestVerify:
         wrong_degree = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
         assert not class_record(orbit_too_short, oracle=False)["rotational"]
         assert class_record(wrong_degree, oracle=False)["rotational"]
+
+
+def test_connection_pairs_below_400():
+    # the record's bisect slice of the sorted S is its half below n / 2
+    for n in range(3, 400, 2):
+        for c in all_classes(factorize(n)):
+            pairs = class_record(c, oracle=False)["connection_pairs"]
+            assert pairs == [s for s in c.subgroup if 2 * s < n], (n, c.h)
 
 
 class TestSubgroupOf:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import frobcirc
 from frobcirc import _kernels, cli, gamma, rotation
+from frobcirc.circulant import Circulant
 from frobcirc.cli import build_parser, main, signed_form
 
 SRC = os.path.dirname(os.path.dirname(frobcirc.__file__))
@@ -112,6 +113,33 @@ class TestClassify:
         code, text = run(["classify", "91", "--oracle", "--format", "json"])
         assert code == 0
         assert all(r["frobenius"] for r in json.loads(text))
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("flag", [[], ["--oracle"], ["--no-oracle"]])
+    def test_builds_no_circulant(self, monkeypatch, fmt, flag):
+        # the report reads S off the class, so no Circulant is built per class
+        def no_circulant(self):
+            raise AssertionError("classify built a Circulant")
+
+        monkeypatch.setattr(Circulant, "__post_init__", no_circulant)
+        for n in ["91", "1105", "1999"]:
+            code, _ = run(["classify", n, "--format", fmt, *flag])
+            assert code == 0
+
+    def test_oracle_above_limit(self, monkeypatch, capsys):
+        # the scan would ask numpy for about 24 GB; nothing is built or scanned
+        def nothing(*args):
+            raise AssertionError("classify built a class or scanned")
+
+        for name in ["all_classes", "enumerate_classes"]:
+            monkeypatch.setattr(cli, name, nothing)
+        monkeypatch.setattr(_kernels, "semiregular_scan", nothing)
+        code, text = run(["classify", "999999937", "--degree", "2", "--oracle"])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: n = 999999937 exceeds the oracle's limit 2000000 (pass --no-oracle)\n"
+        )
 
 
 INT_LIST = st.lists(st.integers(), max_size=6)

@@ -176,6 +176,13 @@ def test_semiregular_scans_one_element_per_prime_order(scan_passes):
     assert 0 < scan_passes.count(1018) <= 2
 
 
+def test_semiregular_scan_refuses_above_limit():
+    # raised before the O(n) residue arrays are allocated
+    assert _kernels.SCAN_LIMIT < 999999937
+    with pytest.raises(ValueError, match="exceeds the scan's limit"):
+        _kernels.semiregular_scan(999999937, np.array([1, 999999936], dtype=np.int64))
+
+
 def test_multiplier_agreement():
     rng = random.Random(17)
     for _ in range(50):
