@@ -8,9 +8,11 @@ All kernels take int64 arrays of residues mod n.  The sums in _sumset and
 bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces;
 the products in semiregular_scan and multiplier_scan fit for n <= 10**9 =
 FACTOR_LIMIT, which bounds every class's n and which multiplier_scan checks.
-"""
 
-import numpy as np
+numpy is imported inside each kernel, not here, so that a process that never
+runs one (`harts`, `verify` with no fixed points, `classify` without the
+oracle) never loads it.
+"""
 
 from .numtheory import FACTOR_LIMIT, factorize
 
@@ -42,6 +44,8 @@ def _sumset(n, conn, members):
     sparse step.  Either step allocates O(n): at most DENSE_RATIO * n sums,
     or a few float arrays of length n.
     """
+    import numpy as np
+
     if members.size * conn.size <= DENSE_RATIO * n or n >= DENSE_MAX_N:
         # sort and keep first occurrences: np.unique is over 10x slower here
         sums = np.sort((members[:, None] + conn[None, :]).ravel() % n)
@@ -63,6 +67,8 @@ def bfs_distances(n, conn, source, blocked):
     an FFT convolution on a large one, after which the visited and blocked
     vertices are masked out.
     """
+    import numpy as np
+
     dist = np.full(n, -1, np.int64)
     if blocked[source]:
         return dist
@@ -84,6 +90,8 @@ def bfs_distances(n, conn, source, blocked):
 def _prime_order_elements(n, elems, l):
     """The elements of `elems` with g^l = 1 mod n and g != 1, for a prime l:
     exactly those of order l.  Square-and-multiply over the whole array."""
+    import numpy as np
+
     power = np.ones_like(elems)
     base = elems
     e = l
@@ -108,6 +116,8 @@ def semiregular_scan(n, subgroup):
     one per distinct prime of d, instead of d - 1.  `subgroup` must be
     closed under multiplication mod n.
     """
+    import numpy as np
+
     if n > SCAN_LIMIT:
         raise ValueError(f"n = {n} exceeds the scan's limit {SCAN_LIMIT}")
     elems = np.asarray(subgroup, dtype=np.int64)
@@ -138,6 +148,8 @@ def semiregular_scan(n, subgroup):
 
 def multiplier_scan(n, conn_a, conn_b):
     """Smallest unit sigma with sigma * conn_a inside conn_b, or 0."""
+    import numpy as np
+
     if n > FACTOR_LIMIT:
         raise ValueError(f"n = {n} exceeds the supported limit {FACTOR_LIMIT}")
     mask = np.zeros(n, np.bool_)

@@ -7,9 +7,8 @@ heavy scans live in _kernels.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
-
-import numpy as np
 
 from . import _kernels
 from .errors import DegenerateCut, Disconnected
@@ -23,7 +22,6 @@ class Circulant:
 
     n: int
     conn: tuple[int, ...]
-    _conn_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _last_bfs: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -42,16 +40,26 @@ class Circulant:
         if conn != tuple(self.n - s for s in reversed(conn)):
             raise ValueError("connection set is not symmetric under negation")
         object.__setattr__(self, "conn", conn)
-        object.__setattr__(self, "_conn_arr", np.array(conn, dtype=np.int64))
+
+    @cached_property
+    def _conn_arr(self):
+        """conn as an int64 array for the kernels, built on the first kernel
+        call, so that a graph that is only validated and read (`harts`,
+        `verify` with no fixed points) never loads numpy."""
+        import numpy as np
+
+        return np.array(self.conn, dtype=np.int64)
 
     @property
     def degree(self) -> int:
         return len(self.conn)
 
-    def _distances(self, source: int, removed=()) -> np.ndarray:
-        """BFS distances from `source` with `removed` blocked.  The last search
-        is kept, so a second query on the same source and removal (a cut
-        verdict, then its witness) costs no second BFS."""
+    def _distances(self, source: int, removed=()):
+        """BFS distances from `source` with `removed` blocked, as an int64
+        array.  The last search is kept, so a second query on the same source
+        and removal (a cut verdict, then its witness) costs no second BFS."""
+        import numpy as np
+
         key = (source, frozenset(removed))
         if self._last_bfs is not None and self._last_bfs[0] == key:
             return self._last_bfs[1]
@@ -81,6 +89,8 @@ class Circulant:
     def is_independent_set(self, members) -> bool:
         """No two members adjacent: (F + conn) and F are disjoint for the
         member set F.  Members must be vertices in [0, n)."""
+        import numpy as np
+
         members = np.array(list(members), dtype=np.int64)
         if ((members < 0) | (members >= self.n)).any():
             raise ValueError(f"member outside [0, {self.n})")
@@ -118,7 +128,7 @@ class Circulant:
 
     def reachable_from(self, source: int, removed=()) -> set[int]:
         dist = self._distances(source, removed)
-        return set(np.flatnonzero(dist >= 0).tolist())
+        return set((dist >= 0).nonzero()[0].tolist())
 
 
 def iso_multiplier(g: Circulant, g2: Circulant):

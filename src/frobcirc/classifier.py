@@ -11,7 +11,7 @@ tuple with m_1 = 1; enumeration iterates those directly.  A brute-force
 materialize-and-dedup oracle over all phi(d)^l tuples lives in the tests.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, isqrt
 
@@ -20,8 +20,8 @@ from .errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
 from .numtheory import Factorization, crt_combine, factorize, primitive_root
 
 # Largest degree enumerated.  On a 2-vCPU machine `classify 1999993`, whose
-# K_p has d = 1,999,992, takes about 7 s at 476 MB peak RSS (10 s and
-# 634 MB with --format json).
+# K_p has d = 1,999,992, takes about 6 s at 463 MB peak RSS (10 s and the
+# same peak with --format json).
 DEGREE_LIMIT = 2 * 10**6
 
 
@@ -30,6 +30,9 @@ class FrobeniusClass:
     """One isomorphism class: Cay(Z_n, subgroup) with canonical rotation h.
 
     `subgroup` is the ascending element list of <h>, as `subgroup_of` gives.
+    `n_factors` and `d_factors` are factorize(n) and factorize(d), which the
+    enumeration shares among its classes; a class built without them has
+    them computed when they are needed.
     """
 
     n: int
@@ -37,6 +40,8 @@ class FrobeniusClass:
     h: int
     subgroup: tuple[int, ...]
     m_vector: tuple[int, ...]
+    n_factors: Factorization | None = field(default=None, repr=False, compare=False)
+    d_factors: Factorization | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def graph(self) -> Circulant:
@@ -123,8 +128,9 @@ def _classes_at(f: Factorization, d: int, comps) -> list[FrobeniusClass]:
         units = [m for m in range(1, d) if gcd(m, d) == 1]
         for _ in range(f.num_primes - 1):
             tuples = [t + (u,) for t in tuples for u in units]
+    fd = factorize(d)
     classes = [
-        FrobeniusClass(f.n, d, h, subgroup_of(h, f.n), m)
+        FrobeniusClass(f.n, d, h, subgroup_of(h, f.n), m, f, fd)
         for m in tuples
         for h in [_glue_h(comps, d, m)]
     ]
@@ -204,7 +210,7 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     """
     S, h, n, d = c.subgroup, c.h, c.n, c.d
     members = set(S)
-    gens = [pow(h, d // l, n) for l in factorize(d).primes]
+    gens = [pow(h, d // l, n) for l in (c.d_factors or factorize(d)).primes]
     regular_on_s = (
         1 in members
         and len(members) == d
@@ -222,6 +228,6 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
         regular_on_s=regular_on_s,
         semiregular=semiregular,
         connected=gcd(n, *S) == 1,
-        degree_bound=d < factorize(n).smallest_prime,
+        degree_bound=d < (c.n_factors or factorize(n)).smallest_prime,
         symmetric=symmetric,
     )

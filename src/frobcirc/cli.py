@@ -88,13 +88,14 @@ def _json_key(key) -> str:
     return f"    {json.dumps(key)}: "
 
 
-def _json_records(records: list[dict]) -> str:
-    """json.dumps(records, indent=2) for flat records whose lists hold ints,
-    with each int list joined in one step and ints and bools written
-    directly."""
+def _write_json(records: list[dict], out) -> None:
+    """Write json.dumps(records, indent=2) and a newline to `out`, one record
+    at a time, for flat records whose lists hold ints: each int list is
+    joined in one step, and ints and bools are written directly."""
     if not records:
-        return "[]"
-    objs = []
+        out.write("[]\n")
+        return
+    sep = "[\n"
     for rec in records:
         fields = []
         for key, value in rec.items():
@@ -109,13 +110,14 @@ def _json_records(records: list[dict]) -> str:
             else:
                 value = "[]"
             fields.append(_json_key(key) + value)
-        objs.append("  {\n" + ",\n".join(fields) + "\n  }")
-    return "[\n" + ",\n".join(objs) + "\n]"
+        out.write(sep + "  {\n" + ",\n".join(fields) + "\n  }")
+        sep = ",\n"
+    out.write("\n]\n")
 
 
 def render_records(records: list[dict], fmt: str, out) -> None:
     if fmt == "json":
-        out.write(_json_records(records) + "\n")
+        _write_json(records, out)
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")

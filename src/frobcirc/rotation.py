@@ -9,8 +9,6 @@ the order of w.
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .circulant import Circulant
 from .errors import NotARotation, NotAUnit
 from .numtheory import factorize, multiplicative_order
@@ -22,8 +20,9 @@ class RotationReport:
 
     A residue v lies in a <w>-orbit shorter than d exactly when
     w^(d/l) v = v for some prime l | d, that is, when v is a multiple of
-    n / gcd(n, w^(d/l) - 1).  So F (`fixed`) is the union, over the primes
-    l | d, of those nonzero multiples.
+    m_l = n / gcd(n, w^(d/l) - 1).  So F (`fixed`) is the union, over the
+    primes l | d, of the arithmetic progressions range(m_l, n, m_l), in
+    ascending order: at most omega(d) of them, and none when every m_l = n.
     """
 
     n: int
@@ -58,15 +57,22 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
 
 
 def rotation_report(n: int, w: int) -> RotationReport:
-    """The order of w and its fixed points on Z_n \\ {0}."""
+    """The order of w and its fixed points on Z_n \\ {0}.
+
+    F is read off the steps m_l < n (see RotationReport): empty when there
+    is none, one range when there is one (as for Gamma_{q,r}), and the
+    sorted union of the ranges otherwise.  No array of length n is built.
+    """
     _require_unit(n, w)
     w %= n
     d = multiplicative_order(w, n)
-    short = np.zeros(n, dtype=np.bool_)
-    for ell in factorize(d).primes:
-        step = n // gcd(n, pow(w, d // ell, n) - 1)
-        short[step::step] = True
-    return RotationReport(n, w, d, tuple(np.flatnonzero(short).tolist()))
+    steps = {n // gcd(n, pow(w, d // ell, n) - 1) for ell in factorize(d).primes} - {n}
+    if len(steps) == 1:
+        (m,) = steps
+        fixed = tuple(range(m, n, m))
+    else:  # none, or several progressions to merge
+        fixed = tuple(sorted({v for m in steps for v in range(m, n, m)}))
+    return RotationReport(n, w, d, fixed)
 
 
 def find_all_rotations(g: Circulant) -> list[int]:

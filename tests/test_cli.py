@@ -352,6 +352,66 @@ class TestParserReuse:
             assert run_in_process(argv) == run_fresh(["-m", "frobcirc.cli", *argv]), argv
 
 
+GOLDEN_BY_ARGV = {tuple(r["argv"]): r for r in GOLDEN}
+
+# Runs main on each argv of the JSON list in sys.argv[1]; prints, as JSON,
+# whether numpy was loaded after the import and after each query, and each
+# query's (exit code, stdout, stderr).
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import frobcirc.cli as cli
+loaded, runs = ["numpy" in sys.modules], []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, out=out)
+    loaded.append("numpy" in sys.modules)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([loaded, runs]))
+"""
+
+
+def numpy_probe(queries):
+    code, out, err = run_fresh(["-c", NUMPY_PROBE, json.dumps(queries)])
+    assert code == 0, err
+    return json.loads(out)
+
+
+class TestNumpyOnFirstUse:
+    """numpy loads with the first array kernel, never at import: `harts`,
+    `verify` with an empty fixed point set and `classify` without the oracle
+    run no kernel."""
+
+    TL300 = ["verify", "270901", "1,901,902,269999,270000,270900"]
+    PRIME = ["verify", "100000007", "1,100000006"]
+    FORMATS = ("table", "json", "csv")
+
+    def test_closed_form_commands_never_load_numpy(self):
+        classify = [["classify", "6253", "--no-oracle", "--format", f] for f in self.FORMATS]
+        queries = [["harts", "5"], self.TL300, self.PRIME, *classify]
+        loaded, runs = numpy_probe(queries)
+        assert loaded == [False] * (len(queries) + 1)
+        for argv, got in zip(queries[:2], runs):
+            want = GOLDEN_BY_ARGV[tuple(argv)]
+            assert got == [want["code"], want["stdout"], want["stderr"]], argv
+        assert runs[2][0] == 0
+        assert "fixed points of 100000006: empty\n" in runs[2][1]
+        assert runs[2][1].endswith("gossip certificate: holds, exact value 50000003\n")
+        for f, got in zip(self.FORMATS, runs[3:]):
+            # the golden records let the oracle switch itself off, with a warning
+            want = GOLDEN_BY_ARGV[("classify", "6253", "--format", f)]
+            assert got == [want["code"], want["stdout"], ""], f
+
+    @pytest.mark.parametrize(
+        "argv", [["gamma", "7", "4", "0"], ["classify", "91", "--format", "table"]]
+    )
+    def test_array_kernels_load_numpy(self, argv):
+        loaded, runs = numpy_probe([argv])
+        assert loaded == [False, True]
+        want = GOLDEN_BY_ARGV[tuple(argv)]
+        assert runs == [[want["code"], want["stdout"], want["stderr"]]]
+
+
 def test_golden_records_match_capture_list():
     # a query added to capture.py without re-recording fails here
     path = os.path.join(os.path.dirname(__file__), "golden", "capture.py")

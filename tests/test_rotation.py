@@ -117,6 +117,20 @@ class TestRotationReport:
                 rep = rotation_report(n, w)
                 assert rep.fixed == orbits_loop(n, w)[1], (n, w)
 
+    @pytest.mark.parametrize("n", [91, 105, 315, 455])
+    def test_union_of_several_progressions(self, n):
+        # F is one progression range(m, n, m) for Gamma and the prime powers;
+        # here several primes l | d give distinct steps m_l < n, so F is a
+        # merge of progressions, and the orbit walk is the reference
+        merged = 0
+        for w in range(2, n):
+            if gcd(w, n) != 1:
+                continue
+            fixed = orbits_loop(n, w)[1]
+            assert rotation_report(n, w).fixed == fixed, (n, w)
+            merged += bool(fixed) and fixed != tuple(range(fixed[0], n, fixed[0]))
+        assert merged > 0
+
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
             for c in all_classes(factorize(n)):
