@@ -18,7 +18,7 @@ MODULUS_LIMIT = 2**62  # the kernels add two vertices in int64
 
 @dataclass(frozen=True)
 class Circulant:
-    """Cay(Z_n, conn): conn is symmetric (conn = -conn) and excludes 0."""
+    """Cay(Z_n, conn): conn is symmetric, excludes 0, and is kept sorted without repeats."""
 
     n: int
     conn: tuple[int, ...]
@@ -54,19 +54,39 @@ class Circulant:
     def degree(self) -> int:
         return len(self.conn)
 
-    def _distances(self, source: int, removed=()):
-        """BFS distances from `source` with `removed` blocked, as an int64
-        array.  The last search is kept, so a second query on the same source
-        and removal (a cut verdict, then its witness) costs no second BFS."""
+    def _vertices(self, members):
+        """`members` as an int64 array, each checked to be a vertex in [0, n)."""
         import numpy as np
 
-        key = (source, frozenset(removed))
-        if self._last_bfs is not None and self._last_bfs[0] == key:
-            return self._last_bfs[1]
-        blocked = np.zeros(self.n, dtype=np.bool_)
-        blocked[list(key[1])] = True
+        try:
+            vs = np.fromiter(members, dtype=np.int64)
+        except OverflowError:  # beyond int64, so outside [0, n) too
+            vs = np.array([-1])
+        if vs.size and (vs.min() < 0 or vs.max() >= self.n):
+            raise ValueError(f"member outside [0, {self.n})")
+        return vs
+
+    def _mask(self, vertices):
+        """The indicator of an array of vertices, a bool array of length n."""
+        import numpy as np
+
+        mask = np.zeros(self.n, dtype=np.bool_)
+        mask[vertices] = True
+        return mask
+
+    def _distances(self, source: int, blocked):
+        """BFS distances from the vertex `source`, the vertices of the bool
+        mask `blocked` removed, as an int64 array.  The last search is kept,
+        so a second query on the same source and mask (a cut verdict, then
+        its witness) costs no second BFS."""
+        import numpy as np
+
+        (source,) = self._vertices((source,)).tolist()
+        last = self._last_bfs
+        if last is not None and last[0] == source and np.array_equal(last[1], blocked):
+            return last[2]
         dist = _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
-        object.__setattr__(self, "_last_bfs", (key, dist))
+        object.__setattr__(self, "_last_bfs", (source, blocked, dist))
         return dist
 
     def neighbors(self, v: int) -> list[int]:
@@ -89,45 +109,41 @@ class Circulant:
     def is_independent_set(self, members) -> bool:
         """No two members adjacent: (F + conn) and F are disjoint for the
         member set F.  Members must be vertices in [0, n)."""
-        import numpy as np
-
-        members = np.array(list(members), dtype=np.int64)
-        if ((members < 0) | (members >= self.n)).any():
-            raise ValueError(f"member outside [0, {self.n})")
-        mask = np.zeros(self.n, dtype=np.bool_)
-        mask[members] = True
-        return not mask[_kernels._sumset(self.n, self._conn_arr, members)].any()
+        vs = self._vertices(members)
+        return not self._mask(vs)[_kernels._sumset(self.n, self._conn_arr, vs)].any()
 
     def is_vertex_cut(self, members) -> bool:
         """Does removing `members` disconnect the graph?  Requires a connected
-        graph and at least two surviving vertices."""
-        removed = set(members)
+        graph and at least two surviving vertices.  Members must be vertices
+        in [0, n)."""
+        vs = self._vertices(members)
         if not self.is_connected():
             raise Disconnected("vertex-cut query on a disconnected graph")
-        if self.n - len(removed) < 2:
-            raise DegenerateCut("removal leaves fewer than two vertices")
-        if not removed:
+        if not vs.size:  # n >= 3 vertices survive: not degenerate
             return False
-        start = next(v for v in range(self.n) if v not in removed)
-        dist = self._distances(start, removed)
-        return int((dist >= 0).sum()) != self.n - len(removed)
+        removed = self._mask(vs)
+        survivors = self.n - int(removed.sum())
+        if survivors < 2:
+            raise DegenerateCut("removal leaves fewer than two vertices")
+        dist = self._distances(int(removed.argmin()), removed)  # the first survivor
+        return int((dist >= 0).sum()) != survivors
 
     def diameter(self) -> int:
         """Eccentricity of vertex 0; valid for the whole graph by
         vertex-transitivity."""
-        dist = self._distances(0)
+        dist = self._distances(0, self._mask([]))
         if (dist < 0).any():
             raise Disconnected("diameter of a disconnected graph")
         return int(dist.max())
 
     def eccentricity(self, v: int) -> int:
-        dist = self._distances(v)
+        dist = self._distances(v, self._mask([]))
         if (dist < 0).any():
             raise Disconnected("eccentricity of a disconnected graph")
         return int(dist.max())
 
     def reachable_from(self, source: int, removed=()) -> set[int]:
-        dist = self._distances(source, removed)
+        dist = self._distances(source, self._mask(self._vertices(removed)))
         return set((dist >= 0).nonzero()[0].tolist())
 
 

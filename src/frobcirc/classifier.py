@@ -16,8 +16,8 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .circulant import Circulant
-from .errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
-from .numtheory import Factorization, crt_combine, factorize, primitive_root
+from .errors import BadExponent, EvenKernel, InadmissibleDegree
+from .numtheory import Factorization, crt_combine, factorize, primitive_root, require_unit
 
 # Largest degree enumerated.  On a 2-vCPU machine `classify 1999993`, whose
 # K_p has d = 1,999,992, takes about 6 s at 463 MB peak RSS (10 s and the
@@ -106,8 +106,7 @@ def construct_h(f: Factorization, d: int, m: tuple[int, ...]) -> int:
 
 def subgroup_of(h: int, n: int) -> tuple[int, ...]:
     """Sorted element list of <h> in Z_n^*; h must be a unit mod n."""
-    if gcd(h % n, n) != 1:
-        raise NotAUnit(f"{h} is not a unit mod {n}")
+    require_unit(h, n)
     elems = []
     x = h % n
     while x != 1:

@@ -197,14 +197,13 @@ def parse_conn(text: str, n: int) -> tuple[int, ...]:
         if not 1 <= v < n:
             raise FrobcircError(f"connection set entry {i + 1} ({v}) outside [1, {n})")
         conn.append(v)
-    return tuple(sorted(set(conn)))
+    return tuple(conn)
 
 
 def cmd_verify(args, out) -> int:
     n = args.n
-    conn = parse_conn(args.conn, n)
-    g = Circulant(n, conn)
-    lines = [f"graph: Cay(Z_{n}, {{{', '.join(map(str, conn))}}}), degree {g.degree}"]
+    g = Circulant(n, parse_conn(args.conn, n))
+    lines = [f"graph: Cay(Z_{n}, {{{', '.join(map(str, g.conn))}}}), degree {g.degree}"]
     if not g.is_connected():
         lines.append("connected: no")
         out.write("\n".join(lines) + "\n")
@@ -213,18 +212,14 @@ def cmd_verify(args, out) -> int:
     lines.append("connected: yes")
     rotations = find_all_rotations(g)
     lines.append(f"complete rotations: {rotations if rotations else 'none'}")
-    reports = []
-    for w in rotations:
-        reports.append(rotation_report(n, w))
-        if not reports[-1].fixed:
-            break
-    frobenius = bool(reports) and not reports[-1].fixed
+    cert = gossip_certificate(g, rotations[0]) if rotations else None
+    # yes when some rotation has no fixed points; only this line needs later reports
+    frobenius = cert is not None and (
+        cert.exact or any(not rotation_report(n, w).fixed for w in rotations[1:])
+    )
     lines.append(f"rotational first-kind Frobenius: {'yes' if frobenius else 'no'}")
-    if rotations:
-        w = rotations[0]
-        rep = reports[0]
-        lines.append(f"fixed points of {w}: {list(rep.fixed) if rep.fixed else 'empty'}")
-        cert = gossip_certificate(g, w, rep)
+    if cert is not None:
+        lines.append(f"fixed points of {cert.w}: {list(cert.fixed) if cert.fixed else 'empty'}")
         if cert.holds:
             kind = "exact value" if cert.exact else "bound"
             lines.append(f"gossip certificate: holds, {kind} {cert.bound}")

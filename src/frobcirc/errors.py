@@ -5,10 +5,6 @@ class FrobcircError(ValueError):
     """Base class for all domain errors raised by frobcirc."""
 
 
-class NotInvertible(FrobcircError):
-    """Residue is not a unit modulo m, so it has no multiplicative order."""
-
-
 class EvenKernel(FrobcircError):
     """The kernel modulus of a first-kind Frobenius circulant must be odd."""
 
@@ -30,7 +26,7 @@ class DegenerateCut(FrobcircError):
 
 
 class NotAUnit(FrobcircError):
-    """Residue is not invertible modulo n."""
+    """Residue is not invertible modulo n, so it has no multiplicative order."""
 
 
 class NotARotation(FrobcircError):

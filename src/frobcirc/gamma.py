@@ -15,9 +15,9 @@ from .errors import ExponentTooSmall
 from .numtheory import factorize
 from .rotation import rotation_report
 
-# Largest q = p^e accepted.  On a 2-vCPU machine `gamma 3 12 0` takes 0.8 s
-# at 136 MB peak RSS and `gamma 3 13 0` (q = 1,594,323) 2.6 s at 316 MB; time
-# and memory grow with q.
+# Largest q = p^e accepted.  In a fresh process on a 2-vCPU machine
+# `gamma 3 12 0` takes 0.7 s at 106 MB peak RSS and `gamma 3 13 0`
+# (q = 1,594,323) 1.8 s at 221 MB; time and memory grow with q.
 GAMMA_Q_LIMIT = 2 * 10**6
 
 

@@ -38,12 +38,12 @@ def _mesh_conn(k: int) -> set[int]:
 
 def tl_graph(k: int) -> Circulant:
     _check_size(k)
-    return Circulant(tl_vertex_count(k), tuple(sorted(_tl_conn(k))))
+    return Circulant(tl_vertex_count(k), tuple(_tl_conn(k)))
 
 
 def harts_graph(k: int) -> Circulant:
     _check_size(k)
-    return Circulant(tl_vertex_count(k - 1), tuple(sorted(_mesh_conn(k))))
+    return Circulant(tl_vertex_count(k - 1), tuple(_mesh_conn(k)))
 
 
 def harts_iso_tl(k: int) -> int:

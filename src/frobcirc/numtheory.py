@@ -8,7 +8,7 @@ at 10**9; this library targets desk-scale moduli, not cryptographic ones.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import EvenKernel, NotInvertible
+from .errors import EvenKernel, NotAUnit
 
 FACTOR_LIMIT = 10**9
 
@@ -68,6 +68,12 @@ def euler_phi(f: Factorization) -> int:
     return phi
 
 
+def require_unit(a: int, m: int):
+    """Raise NotAUnit unless gcd(a, m) = 1."""
+    if gcd(a, m) != 1:
+        raise NotAUnit(f"{a} is not a unit mod {m}")
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Least k >= 1 with a**k = 1 (mod m).
 
@@ -76,8 +82,7 @@ def multiplicative_order(a: int, m: int) -> int:
     """
     if m < 2:
         raise ValueError(f"modulus {m} must be >= 2")
-    if gcd(a, m) != 1:
-        raise NotInvertible(f"{a} is not a unit mod {m}")
+    require_unit(a, m)
     order = euler_phi(factorize(m))
     for p, _ in factorize(order).factors:
         while order % p == 0 and pow(a, order // p, m) == 1:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .circulant import Circulant
-from .errors import NotARotation, NotAUnit
-from .numtheory import factorize, multiplicative_order
+from .errors import NotARotation
+from .numtheory import factorize, multiplicative_order, require_unit
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class RotationReport:
     fixed: tuple[int, ...]  # union of short orbits
 
 
-def _require_unit(n: int, w: int):
-    if gcd(w % n, n) != 1:
-        raise NotAUnit(f"{w} is not a unit mod {n}")
-
-
 def is_complete_rotation(g: Circulant, w: int) -> bool:
     """Does multiplication by w fix conn setwise and drive it in one cycle?
 
@@ -44,7 +39,7 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
     inside S, and S is one orbit exactly when that cycle has length |S|:
     the walk from s0 must not come back to s0 within |S| - 1 steps.
     """
-    _require_unit(g.n, w)
+    require_unit(w, g.n)
     n, conn = g.n, g.conn
     if not set(conn).issuperset([w * s % n for s in conn]):
         return False
@@ -63,9 +58,8 @@ def rotation_report(n: int, w: int) -> RotationReport:
     is none, one range when there is one (as for Gamma_{q,r}), and the
     sorted union of the ranges otherwise.  No array of length n is built.
     """
-    _require_unit(n, w)
+    d = multiplicative_order(w, n)  # NotAUnit unless w is a unit
     w %= n
-    d = multiplicative_order(w, n)
     steps = {n // gcd(n, pow(w, d // ell, n) - 1) for ell in factorize(d).primes} - {n}
     if len(steps) == 1:
         (m,) = steps
@@ -124,20 +118,11 @@ class GossipCertificate:
     exact: bool
 
 
-def gossip_certificate(
-    g: Circulant, w: int, report: RotationReport | None = None
-) -> GossipCertificate:
-    """Certificate for the complete rotation w of g; NotARotation otherwise.
-
-    `report` is `rotation_report(g.n, w)` when the caller already holds it;
-    it is then used instead of being rebuilt, and a report for another n or
-    w raises ValueError.
-    """
+def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
+    """Certificate for the complete rotation w of g; NotARotation otherwise."""
     if not is_complete_rotation(g, w):
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
-    rep = rotation_report(g.n, w) if report is None else report
-    if (rep.n, rep.w) != (g.n, w % g.n):
-        raise ValueError(f"the report is for w = {rep.w} mod {rep.n}, not {w % g.n} mod {g.n}")
+    rep = rotation_report(g.n, w)
     exact = not rep.fixed
     independent = exact or g.is_independent_set(rep.fixed)
     vertex_cut = not exact and g.is_vertex_cut(rep.fixed)

@@ -82,6 +82,17 @@ QUERIES = (
         ["harts", "10000000000"],
         ["verify", "18446744073709551617", "1,18446744073709551616"],
     ]
+    # gossip certificates whose F is not empty: Gamma_{27,0}, six rotations,
+    # holds with a bound; and <17> mod 77, whose F is the multiples of 7 and
+    # of 11, two progressions neither of which contains the other
+    + [
+        ["verify", "27", "1,2,4,5,7,8,10,11,13,14,16,17,19,20,22,23,25,26"],
+        [
+            "verify",
+            "77",
+            "1,4,6,9,10,13,15,16,17,19,23,24,25,36,37,40,41,52,53,54,58,60,61,62,64,67,68,71,73,76",
+        ],
+    ]
 )
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -203,11 +204,43 @@ class TestVertexCut:
         monkeypatch.setattr(_kernels, "bfs_distances", counted)
         g = Circulant(27, subgroup_of(8, 27))
         fixed = range(3, 27, 3)
+        shuffled = list(fixed)
+        random.Random(5).shuffle(shuffled)
         assert g.is_vertex_cut(fixed)
         assert 4 not in g.reachable_from(0, tuple(fixed))
+        # the same set in another order, with repeats, or as a range again
+        assert g.is_vertex_cut(shuffled)
+        assert g.is_vertex_cut([*fixed, 3, 24, 3])
+        assert 4 not in g.reachable_from(0, fixed)
         assert calls == [0]
         assert len(g.reachable_from(1)) == 27  # another source: a new search
         assert calls == [0, 1]
+        assert g.is_vertex_cut(fixed)  # only the last search is kept
+        assert calls == [0, 1, 0]
+
+    def test_member_outside_vertex_range(self):
+        # -1 must not wrap to vertex 6, which alone would not cut the 7-cycle
+        with pytest.raises(ValueError):
+            cycle(7).is_vertex_cut([-1, 6])
+        with pytest.raises(ValueError):
+            cycle(7).is_vertex_cut([7])
+        with pytest.raises(ValueError):
+            cycle(7).is_vertex_cut([2**70])
+        with pytest.raises(ValueError):
+            cycle(7).reachable_from(0, [7])
+        with pytest.raises(ValueError):
+            cycle(7).reachable_from(-1)
+
+    def test_empty_set_allocates_nothing(self):
+        # n = 2^40: a mask or distance array of length n would need a terabyte
+        g = Circulant(2**40, (1, 2**40 - 1))
+        tracemalloc.start()
+        try:
+            assert not g.is_vertex_cut([])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDiameter:
@@ -233,6 +266,10 @@ class TestDiameter:
             d0 = g.diameter()
             for _ in range(5):
                 assert g.eccentricity(rng.randrange(g.n)) == d0
+
+    def test_eccentricity_of_a_non_vertex(self):
+        with pytest.raises(ValueError):
+            cycle(7).eccentricity(7)
 
 
 class TestIsoMultiplier:

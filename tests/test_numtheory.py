@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ord_p
 
-from frobcirc.errors import EvenKernel, NotInvertible
+from frobcirc.errors import EvenKernel, NotAUnit
 from frobcirc.numtheory import (
     Factorization,
     crt_combine,
@@ -63,7 +63,7 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(5507, 6253) == 4
 
     def test_not_coprime(self):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(NotAUnit):
             multiplicative_order(3, 27)
 
     @settings(max_examples=200)

@@ -224,28 +224,20 @@ class TestGossipCertificate:
         with pytest.raises(NotARotation):
             gossip_certificate(TL19, 2)
 
-    def test_given_report_is_used(self, monkeypatch):
-        cases = [(TL19, 8), (TL19, 12), (gamma_graph(27, 2), 2), (gamma_graph(27, 8), 8)]
-        reports = [rotation_report(g.n, w) for g, w in cases]
-        expected = [gossip_certificate(g, w) for g, w in cases]
+    def test_one_report_and_w_read_mod_n(self, monkeypatch):
+        calls = []
 
-        def no_report(*args):
-            raise AssertionError("rebuilt a report it was given")
+        def counted(n, w, original=rotation.rotation_report):
+            calls.append((n, w))
+            return original(n, w)
 
-        monkeypatch.setattr(rotation, "rotation_report", no_report)
-        for (g, w), rep, cert in zip(cases, reports, expected):
-            assert gossip_certificate(g, w, rep) == cert
-            assert gossip_certificate(g, w + g.n, rep) == cert  # w is read mod n
-
-    def test_given_report_still_checks_rotation(self):
-        with pytest.raises(NotARotation):
-            gossip_certificate(TL19, 2, rotation_report(19, 2))
-
-    def test_report_for_another_graph_or_unit(self):
-        with pytest.raises(ValueError):
-            gossip_certificate(TL19, 8, rotation_report(19, 12))
-        with pytest.raises(ValueError):
-            gossip_certificate(TL19, 8, rotation_report(37, 8))
+        monkeypatch.setattr(rotation, "rotation_report", counted)
+        for g, w in [(TL19, 8), (TL19, 12), (gamma_graph(27, 2), 2), (gamma_graph(27, 8), 8)]:
+            cert = gossip_certificate(g, w)
+            assert calls == [(g.n, w)]
+            assert cert.fixed == rotation_report(g.n, w).fixed
+            assert gossip_certificate(g, w + g.n) == cert
+            calls.clear()
 
 
 class TestPathCriterion:
