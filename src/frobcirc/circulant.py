@@ -6,7 +6,7 @@ heavy scans live in _kernels.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -22,7 +22,6 @@ class Circulant:
 
     n: int
     conn: tuple[int, ...]
-    _last_bfs: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 3:
@@ -76,18 +75,9 @@ class Circulant:
 
     def _distances(self, source: int, blocked):
         """BFS distances from the vertex `source`, the vertices of the bool
-        mask `blocked` removed, as an int64 array.  The last search is kept,
-        so a second query on the same source and mask (a cut verdict, then
-        its witness) costs no second BFS."""
-        import numpy as np
-
+        mask `blocked` removed, as an int64 array."""
         (source,) = self._vertices((source,)).tolist()
-        last = self._last_bfs
-        if last is not None and last[0] == source and np.array_equal(last[1], blocked):
-            return last[2]
-        dist = _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
-        object.__setattr__(self, "_last_bfs", (source, blocked, dist))
-        return dist
+        return _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:

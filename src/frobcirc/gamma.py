@@ -13,12 +13,12 @@ from .circulant import Circulant
 from .classifier import subgroup_of
 from .errors import ExponentTooSmall
 from .numtheory import factorize
-from .rotation import rotation_report
+from .rotation import FIXED_SET_LIMIT, rotation_report
 
-# Largest q = p^e accepted.  In a fresh process on a 2-vCPU machine
-# `gamma 3 12 0` takes 0.7 s at 106 MB peak RSS and `gamma 3 13 0`
-# (q = 1,594,323) 1.8 s at 221 MB; time and memory grow with q.
-GAMMA_Q_LIMIT = 2 * 10**6
+# Largest q = p^e accepted.  In a fresh process on a shared 2-vCPU machine
+# `gamma 3 12 0` takes 0.75-0.92 s at 106 MB peak RSS, `gamma 3 13 0` 2.0-2.7 s
+# at 221 MB and `gamma 3 13 1` 1.4-1.6 s at 188 MB; both grow with q.
+GAMMA_Q_LIMIT = FIXED_SET_LIMIT
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class GammaReport:
     independent: bool
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
-    witness: int | None  # p + 1, unreachable from 0 in Gamma - F, when F is a cut
+    witness: int | None  # p + 1 when F is a cut: unreachable by the argument in verify_theorem_q
     gossip_bound: int | None  # ceil((q-1)/d) for the rotation's order d, when F is not a cut
 
     @property
@@ -98,8 +98,14 @@ class GammaReport:
 
 def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
-    evaluated even if an early one fails.  The cut verdict and its witness
-    share one BFS on Gamma - F."""
+    evaluated even if an early one fails.
+
+    One BFS on Gamma - F decides the cut.  The witness p + 1 needs no second
+    search for r >= 1: with t = p^(r+1), which divides q, every s in S is
+    +-1 mod t (`closed_form_ok`), and every x = +-p mod t is a nonzero
+    multiple of p, so in F.  A walk from 0 in Gamma - F thus keeps x mod t
+    in (-p, p), and t >= p^2 >= 2p + 1 puts p + 1, which survives, outside.
+    """
     spec, g = build_gamma(p, e, r)
     fixed = gamma_fixed_points(spec)
     rep = rotation_report(spec.q, spec.h)
@@ -115,14 +121,6 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
         independent=g.is_independent_set(fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),
-        witness=_blocked_vertex(spec, g, fixed) if vertex_cut else None,
+        witness=spec.p + 1 if vertex_cut else None,
         gossip_bound=None if vertex_cut else -(-(spec.q - 1) // rep.d),
     )
-
-
-def _blocked_vertex(spec: GammaSpec, g: Circulant, fixed) -> int:
-    """p + 1, after checking by BFS that it is unreachable from 0 in Gamma - F."""
-    target = spec.p + 1
-    if target in g.reachable_from(0, fixed):
-        raise AssertionError(f"vertex {target} unexpectedly reachable in Gamma - F")
-    return target

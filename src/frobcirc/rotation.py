@@ -13,6 +13,11 @@ from .circulant import Circulant
 from .errors import NotARotation
 from .numtheory import factorize, multiplicative_order, require_unit
 
+# Largest n for which a non-empty fixed point set F is listed: F costs a
+# Python int per residue, and a BFS on the graph minus F about 10 n bytes.
+# gamma.GAMMA_Q_LIMIT is this value; the F of Gamma_{q,r} is never empty.
+FIXED_SET_LIMIT = 2 * 10**6
+
 
 @dataclass(frozen=True)
 class RotationReport:
@@ -57,10 +62,13 @@ def rotation_report(n: int, w: int) -> RotationReport:
     F is read off the steps m_l < n (see RotationReport): empty when there
     is none, one range when there is one (as for Gamma_{q,r}), and the
     sorted union of the ranges otherwise.  No array of length n is built.
+    A non-empty F with n > FIXED_SET_LIMIT raises ValueError, unlisted.
     """
     d = multiplicative_order(w, n)  # NotAUnit unless w is a unit
     w %= n
     steps = {n // gcd(n, pow(w, d // ell, n) - 1) for ell in factorize(d).primes} - {n}
+    if steps and n > FIXED_SET_LIMIT:
+        raise ValueError(f"n = {n} exceeds the limit {FIXED_SET_LIMIT} for fixed points of {w}")
     if len(steps) == 1:
         (m,) = steps
         fixed = tuple(range(m, n, m))
@@ -75,27 +83,30 @@ def find_all_rotations(g: Circulant) -> list[int]:
     Restricting to units is sound: a complete rotation of a circulant is an
     automorphism of Z_n, and those are exactly the unit multiplications.
     S is a single <w>-orbit, so every element of S has the same gcd k with
-    n, and w sends s0 = conn[0] to some s in S.  Then w (s0/k) = s/k
-    (mod n/k), so w is one of the k lifts to Z_n of (s/k)(s0/k)^(-1)
-    mod n/k: at most |S| gcd(s0, n) candidates, each checked in full.
+    n, and s -> s/k maps S one-to-one into the units mod m = n/k.  Let
+    T = {(s/k)(s0/k)^(-1) mod m : s in S}, s0 = conn[0], which holds 1.  w
+    is a complete rotation iff u = w mod m has uT = T and order |S| (the
+    orbit length of s0); then T = <u> is a group, which every element of T
+    maps onto itself.  uT = T alone makes ord(u) divide |S|, so one element
+    of T with u^(|S|/l) != 1 for the primes l | |S| is checked for uT = T,
+    and the rotations are the unit lifts to Z_n of all that pass, or none.
 
     A circulant embeds as a balanced regular Cayley map exactly when it is
     rotational, so `bool(find_all_rotations(g))` also answers that question.
     """
-    n = g.n
-    gcds = {gcd(s, n) for s in g.conn}
+    n, conn = g.n, g.conn
+    gcds = {gcd(s, n) for s in conn}
     if len(gcds) != 1:
         return []
     (k,) = gcds
-    m = n // k
-    s0_inv = pow(g.conn[0] // k, -1, m)
-    found = []
-    for s in g.conn:
-        base = s // k * s0_inv % m
-        for w in range(base, n, m):
-            if gcd(w, n) == 1 and is_complete_rotation(g, w):
-                found.append(w)
-    return sorted(found)
+    m, size = n // k, len(conn)
+    s0_inv = pow(conn[0] // k, -1, m)
+    T = {s // k * s0_inv % m for s in conn}
+    cofactors = [size // ell for ell in factorize(size).primes]
+    generators = [u for u in T if all(pow(u, c, m) != 1 for c in cofactors)]
+    if not generators or {generators[0] * t % m for t in T} != T:
+        return []
+    return sorted(w for u in generators for w in range(u, n, m) if gcd(w, n) == 1)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,11 @@ QUERIES = (
             "1,4,6,9,10,13,15,16,17,19,23,24,25,36,37,40,41,52,53,54,58,60,61,62,64,67,68,71,73,76",
         ],
     ]
+    # K_101: S is all of Z_101^*, so every unit of order 100 is a rotation
+    + [["verify", "101", ",".join(map(str, range(1, 101)))]]
+    # Cay(Z_{3^15}, {x = +-1 mod 3^14}): a rotation's fixed points above
+    # rotation.FIXED_SET_LIMIT are refused before they are listed
+    + [["verify", "14348907", "1,4782968,4782970,9565937,9565939,14348906"]]
 )
 
 

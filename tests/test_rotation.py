@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -131,6 +132,24 @@ class TestRotationReport:
             merged += bool(fixed) and fixed != tuple(range(fixed[0], n, fixed[0]))
         assert merged > 0
 
+    def test_fixed_set_limit(self):
+        # Cay(Z_{3^15}, {x = +-1 mod 3^14}): the rotation fixes the multiples
+        # of 3, which are refused before they are listed
+        n = 3**15
+        g = Circulant(n, (1, 3**14 - 1, 3**14 + 1, 2 * 3**14 - 1, 2 * 3**14 + 1, n - 1))
+        (w, *_) = find_all_rotations(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit 2000000 for fixed points of"):
+                gossip_certificate(g, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert rotation.FIXED_SET_LIMIT < n
+        # an empty F is answered at any n
+        assert rotation_report(100000007, 100000006).fixed == ()
+
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
             for c in all_classes(factorize(n)):
@@ -194,6 +213,15 @@ class TestFindAllRotations:
             conn = tuple(sorted(conn))
             assert find_all_rotations(Circulant(n, conn)) == rotations_loop(n, conn), (n, conn)
         assert find_all_rotations(Z8_MIXED) == rotations_loop(8, Z8_MIXED.conn) == []
+
+    def test_no_rotation_check_per_candidate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_complete_rotation called")
+
+        monkeypatch.setattr(rotation, "is_complete_rotation", refuse)
+        k101 = Circulant(101, tuple(range(1, 101)))
+        for g in (TL19, Z8_MIXED, k101, Circulant(9, (3, 6)), gamma_graph(243, 8), tl_graph(50)):
+            assert find_all_rotations(g) == rotations_loop(g.n, g.conn), g.n
 
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
