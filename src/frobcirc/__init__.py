@@ -2,7 +2,7 @@
 enumeration, rotation/fixed-point analysis, and gossip-bound certificates."""
 
 from ._kernels import BACKEND
-from .circulant import Circulant, iso_multiplier
+from .circulant import Circulant
 from .classifier import (
     FrobeniusClass,
     FrobeniusReport,
@@ -10,7 +10,6 @@ from .classifier import (
     all_classes,
     construct_h,
     enumerate_classes,
-    is_semiregular,
     max_degree_D,
     verify_first_kind_frobenius,
 )
@@ -63,8 +62,6 @@ __all__ = [
     "harts_graph",
     "harts_iso_tl",
     "is_complete_rotation",
-    "is_semiregular",
-    "iso_multiplier",
     "max_degree_D",
     "multiplicative_order",
     "primitive_root",

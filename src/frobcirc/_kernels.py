@@ -1,20 +1,19 @@
-"""Hot inner loops: circulant BFS and sumsets, the semiregularity scan over
-one element per prime-order subgroup, unit-multiplier scan.
+"""Hot inner loops: circulant BFS and sumsets, and the semiregularity scan
+over one element per prime-order subgroup.
 
 One vectorized numpy implementation per kernel.  The tests compare each one
 against a plain-loop oracle (tests/oracles.py).
 
 All kernels take int64 arrays of residues mod n.  The sums in _sumset and
 bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces;
-the products in semiregular_scan and multiplier_scan fit for n <= 10**9 =
-FACTOR_LIMIT, which bounds every class's n and which multiplier_scan checks.
+the products in semiregular_scan fit for n <= SCAN_LIMIT, which it checks.
 
 numpy is imported inside each kernel, not here, so that a process that never
 runs one (`harts`, `verify` with no fixed points, `classify` without the
 oracle) never loads it.
 """
 
-from .numtheory import FACTOR_LIMIT, factorize
+from .numtheory import factorize
 
 BACKEND = "numpy"
 
@@ -145,17 +144,3 @@ def semiregular_scan(n, subgroup):
             return False
     return True
 
-
-def multiplier_scan(n, conn_a, conn_b):
-    """Smallest unit sigma with sigma * conn_a inside conn_b, or 0."""
-    import numpy as np
-
-    if n > FACTOR_LIMIT:
-        raise ValueError(f"n = {n} exceeds the supported limit {FACTOR_LIMIT}")
-    mask = np.zeros(n, np.bool_)
-    mask[conn_b] = True
-    units = np.arange(1, n, dtype=np.int64)
-    units = units[np.gcd(units, n) == 1]
-    hits = mask[(units[:, None] * conn_a[None, :]) % n].all(axis=1)
-    idx = np.flatnonzero(hits)
-    return int(units[idx[0]]) if idx.size else 0

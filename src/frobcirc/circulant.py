@@ -136,20 +136,3 @@ class Circulant:
         dist = self._distances(source, self._mask(self._vertices(removed)))
         return set((dist >= 0).nonzero()[0].tolist())
 
-
-def iso_multiplier(g: Circulant, g2: Circulant):
-    """Some unit sigma with sigma * g.conn = g2.conn setwise, or None.
-
-    A multiplier is always an isomorphism.  The converse fails in general:
-    Z_n has connection sets that are not CI-subsets (Elspas & Turner 1970;
-    Muzychuk 1997), so None alone does not prove non-isomorphism.  When
-    g.conn lies in Z_n^*, Toida's conjecture (proved by Muzychuk,
-    Klin & Poeschel 2001 and by Dobson & Morris 2002) makes the scan decide
-    isomorphism.  Exhaustive scan over units; intended for desk-scale n.
-    """
-    if g.n != g2.n:
-        raise ValueError(f"moduli differ: {g.n} != {g2.n}")
-    if g.degree != g2.degree:
-        return None
-    sigma = _kernels.multiplier_scan(g.n, g._conn_arr, g2._conn_arr)
-    return int(sigma) if sigma else None

@@ -15,21 +15,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, isqrt
 
-from .circulant import Circulant
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
 from .numtheory import Factorization, crt_combine, factorize, primitive_root, require_unit
 
-# Largest degree enumerated.  On a 2-vCPU machine `classify 1999993`, whose
-# K_p has d = 1,999,992, takes about 6 s at 463 MB peak RSS (10 s and the
-# same peak with --format json).
+# Largest degree enumerated.  In a fresh process on a shared 2-vCPU machine
+# `classify 1999993`, whose K_p has d = 1,999,992, takes 3.9-4.5 s at 344 MB
+# peak RSS (5.2-6.0 s at 445 MB with --format json).
 DEGREE_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
 class FrobeniusClass:
-    """One isomorphism class: Cay(Z_n, subgroup) with canonical rotation h.
+    """One isomorphism class: Cay(Z_n, <h>), h the canonical rotation of order d.
 
-    `subgroup` is the ascending element list of <h>, as `subgroup_of` gives.
     `n_factors` and `d_factors` are factorize(n) and factorize(d), which the
     enumeration shares among its classes; a class built without them has
     them computed when they are needed.
@@ -38,15 +36,14 @@ class FrobeniusClass:
     n: int
     d: int
     h: int
-    subgroup: tuple[int, ...]
     m_vector: tuple[int, ...]
     n_factors: Factorization | None = field(default=None, repr=False, compare=False)
     d_factors: Factorization | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def graph(self) -> Circulant:
-        """Cay(Z_n, subgroup), built on first access and kept."""
-        return Circulant(self.n, self.subgroup)
+    def subgroup(self) -> tuple[int, ...]:
+        """S = <h> as `subgroup_of` gives it, walked on first access and kept."""
+        return subgroup_of(self.h, self.n)
 
 
 def _check_odd(f: Factorization):
@@ -128,11 +125,7 @@ def _classes_at(f: Factorization, d: int, comps) -> list[FrobeniusClass]:
         for _ in range(f.num_primes - 1):
             tuples = [t + (u,) for t in tuples for u in units]
     fd = factorize(d)
-    classes = [
-        FrobeniusClass(f.n, d, h, subgroup_of(h, f.n), m, f, fd)
-        for m in tuples
-        for h in [_glue_h(comps, d, m)]
-    ]
+    classes = [FrobeniusClass(f.n, d, _glue_h(comps, d, m), m, f, fd) for m in tuples]
     classes.sort(key=lambda c: c.h)
     return classes
 
@@ -161,19 +154,13 @@ def all_classes(f: Factorization) -> list[FrobeniusClass]:
     return [c for d in degrees for c in _classes_at(f, d, comps)]
 
 
-def is_semiregular(n: int, subgroup) -> bool:
-    """H acts semiregularly on Z_n \\ {0} iff gcd(h - 1, n) = 1 for every
-    non-identity h in H."""
-    return all(gcd(h - 1, n) == 1 for h in subgroup if h % n != 1)
-
-
 @dataclass(frozen=True)
 class FrobeniusReport:
-    regular_on_s: bool  # S = <h> as sets, so H acts regularly on S
-    semiregular: bool
-    connected: bool
+    regular_on_s: bool  # h has order d, so H = <h> acts regularly on S = <h>
+    semiregular: bool  # gcd(h^(d/l) - 1, n) = 1 for every prime l | d
+    connected: bool  # 1 is in S, so S generates Z_n
     degree_bound: bool  # d < smallest prime factor of n
-    symmetric: bool  # S = -S, so -1 is in H and |H| is even
+    symmetric: bool  # S = -S: d is even and h^(d/2) = -1 mod n
 
     @property
     def ok(self) -> bool:
@@ -187,46 +174,38 @@ class FrobeniusReport:
 
 
 def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
-    """Check the defining conditions on a constructed class, S = c.subgroup.
+    """Check the defining conditions of Cay(Z_n, S), S = <h>, off n, h and d.
 
-    No graph is built: S is read as it is, and S generates Z_n, so
-    Cay(Z_n, S) is connected, iff gcd(n, s_1, ..., s_k) = 1.
+    No element of S is read, and S is not built.  h must be a unit mod n
+    (NotAUnit otherwise).
 
-    S = <h> makes H regular on S: multiplication by H is transitive on the
-    group H itself and stabilizers in a group action on itself are trivial.
-    1 in S and h S = S put <h> inside S, so S = <h> exactly when the order
-    of h, checked by its powers h^(d/l) for the primes l | d, is |S| = d.
-    A group S is closed under negation iff it holds -1, which is then one
-    membership test; otherwise every element's negative is looked up.
+    H = <h> acts regularly on S = H (multiplication is transitive on a group
+    and its stabilizers are trivial), and |H| = d exactly when h has order
+    d: h^d = 1 and h^(d/l) != 1 for every prime l | d (`regular_on_s`).
 
-    Semiregularity then needs one gcd per prime l | d.  An element x of H
-    fixes a nonzero residue v iff gcd(x - 1, n) > 1.  If x != 1 fixes v,
-    some power of x of prime order l fixes v, and it generates the unique
-    subgroup of order l of the cyclic group <h>, as does h^(d/l); every
-    generator of a cyclic group fixes exactly what the group fixes.  So
-    <h> is semiregular iff gcd(h^(d/l) - 1, n) = 1 for every prime l | d.
-    When S != <h>, `semiregular` still describes S, by `is_semiregular`.
+    An element x of H fixes a nonzero residue v iff gcd(x - 1, n) > 1.  If
+    x != 1 fixes v, some power of x of prime order l fixes v, and it
+    generates the unique subgroup of order l of the cyclic group <h>, as
+    does h^(d/l); every generator of a cyclic group fixes exactly what the
+    group fixes.  So <h> is semiregular iff gcd(h^(d/l) - 1, n) = 1 for
+    every prime l | d.
+
+    The group S is closed under negation iff it holds -1.  A cyclic group of
+    even order d has exactly one involution, h^(d/2), and one of odd order
+    has none; -1 != 1 is an involution, as n >= 3.  So S = -S iff d is even
+    and h^(d/2) = -1 mod n.  S holds 1, so Cay(Z_n, S) is connected.
+
+    When h does not have order d, `regular_on_s` and `ok` are False, and
+    `semiregular` and `symmetric` are the same tests read through d, which
+    then need not describe <h>.
     """
-    S, h, n, d = c.subgroup, c.h, c.n, c.d
-    members = set(S)
+    h, n, d = c.h, c.n, c.d
+    require_unit(h, n)
     gens = [pow(h, d // l, n) for l in (c.d_factors or factorize(d)).primes]
-    regular_on_s = (
-        1 in members
-        and len(members) == d
-        and pow(h, d, n) == 1
-        and 1 not in gens
-        and {h * s % n for s in S} == members
-    )
-    if regular_on_s:
-        semiregular = all(gcd(x - 1, n) == 1 for x in gens)
-        symmetric = n - 1 in members
-    else:
-        semiregular = is_semiregular(n, S)
-        symmetric = all(n - s in members for s in members)
     return FrobeniusReport(
-        regular_on_s=regular_on_s,
-        semiregular=semiregular,
-        connected=gcd(n, *S) == 1,
+        regular_on_s=pow(h, d, n) == 1 and 1 not in gens,
+        semiregular=all(gcd(x - 1, n) == 1 for x in gens),
+        connected=True,
         degree_bound=d < (c.n_factors or factorize(n)).smallest_prime,
-        symmetric=symmetric,
+        symmetric=d % 2 == 0 and pow(h, d // 2, n) == n - 1,
     )

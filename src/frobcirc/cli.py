@@ -28,12 +28,7 @@ from .errors import FrobcircError
 from .gamma import verify_theorem_q
 from .harts import harts_graph, harts_iso_tl, tl_diameter, tl_graph
 from .numtheory import factorize
-from .rotation import (
-    find_all_rotations,
-    gossip_certificate,
-    is_complete_rotation,
-    rotation_report,
-)
+from .rotation import find_all_rotations, gossip_certificate
 
 ORACLE_AUTO_LIMIT = 2000
 
@@ -46,9 +41,9 @@ def signed_form(h: int, n: int) -> str:
 def class_record(c, oracle: bool) -> dict:
     """The output record of one class.
 
-    When the report shows S = <h>, h is a complete rotation: S is then the
-    single <h>-orbit of 1 in S, so multiplication by h maps S onto itself in
-    one |S|-cycle.  Otherwise the general test decides, on the class's graph.
+    `rotational` is the report's `regular_on_s`: when h has order d, S = <h>
+    is the single <h>-orbit of 1, so multiplication by h maps S onto itself
+    in one d-cycle, and h is a complete rotation of the degree-d graph.
     """
     report = verify_first_kind_frobenius(c)
     n, S = c.n, c.subgroup
@@ -64,7 +59,7 @@ def class_record(c, oracle: bool) -> dict:
         "connection_set": list(S),
         # n is odd, so exactly one of s and n - s is below n / 2; S is sorted
         "connection_pairs": list(S[: bisect_left(S, (n + 1) // 2)]),
-        "rotational": report.regular_on_s or is_complete_rotation(c.graph, c.h),
+        "rotational": report.regular_on_s,
         "frobenius": frobenius,
         "gossip_bound": (n - 1) // c.d,
     }
@@ -213,10 +208,9 @@ def cmd_verify(args, out) -> int:
     rotations = find_all_rotations(g)
     lines.append(f"complete rotations: {rotations if rotations else 'none'}")
     cert = gossip_certificate(g, rotations[0]) if rotations else None
-    # yes when some rotation has no fixed points; only this line needs later reports
-    frobenius = cert is not None and (
-        cert.exact or any(not rotation_report(n, w).fixed for w in rotations[1:])
-    )
+    # yes when the rotations have no fixed points: the graph is connected, so
+    # every rotation generates the same T = S s0^(-1) and has the same F
+    frobenius = cert is not None and cert.exact
     lines.append(f"rotational first-kind Frobenius: {'yes' if frobenius else 'no'}")
     if cert is not None:
         lines.append(f"fixed points of {cert.w}: {list(cert.fixed) if cert.fixed else 'empty'}")

@@ -10,14 +10,13 @@ r = 0 instances certify the gossip bound).
 from dataclasses import dataclass
 
 from .circulant import Circulant
-from .classifier import subgroup_of
 from .errors import ExponentTooSmall
 from .numtheory import factorize
 from .rotation import FIXED_SET_LIMIT, rotation_report
 
 # Largest q = p^e accepted.  In a fresh process on a shared 2-vCPU machine
-# `gamma 3 12 0` takes 0.75-0.92 s at 106 MB peak RSS, `gamma 3 13 0` 2.0-2.7 s
-# at 221 MB and `gamma 3 13 1` 1.4-1.6 s at 188 MB; both grow with q.
+# `gamma 3 12 0` takes 0.47-0.61 s at 95 MB peak RSS, `gamma 3 13 0` 1.1-1.4 s
+# at 221 MB and `gamma 3 13 1` 1.0-1.3 s at 188 MB; both grow with q.
 GAMMA_Q_LIMIT = FIXED_SET_LIMIT
 
 
@@ -46,18 +45,19 @@ def _validate(p: int, e: int, r: int):
 
 
 def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:
-    """Construct Gamma_{q,r}.  The exponent p^r is handled inside pow, so
-    (p-1)^(p^r) is never materialized as an integer."""
+    """Construct Gamma_{q,r}, its connection set from `connection_closed_form`
+    (`verify_theorem_q` checks that this is <h>).  The exponent p^r is
+    handled inside pow, so (p-1)^(p^r) is never materialized as an integer."""
     _validate(p, e, r)
     q = p**e
-    h = pow(p - 1, p**r, q)
-    return GammaSpec(p, e, r, q, h, 2 * p ** (e - r - 1)), Circulant(q, subgroup_of(h, q))
+    spec = GammaSpec(p, e, r, q, pow(p - 1, p**r, q), 2 * p ** (e - r - 1))
+    return spec, Circulant(q, connection_closed_form(spec))
 
 
 def connection_closed_form(spec: GammaSpec) -> tuple[int, ...]:
-    """The subgroup as {p^(r+1) k +- 1 mod q : 0 <= k < p^(e-r-1)}, that is,
-    the residues congruent to +-1 mod step = p^(r+1); step >= 3, so the two
-    ranges are disjoint."""
+    """The subgroup <h> as {p^(r+1) k +- 1 mod q : 0 <= k < p^(e-r-1)}, that
+    is, the residues congruent to +-1 mod step = p^(r+1), ascending; step >= 3,
+    so the two ranges are disjoint."""
     step = spec.p ** (spec.r + 1)
     return tuple(sorted([*range(1, spec.q, step), *range(step - 1, spec.q, step)]))
 
@@ -77,7 +77,7 @@ def gamma_fixed_points(spec: GammaSpec) -> tuple[int, ...]:
 class GammaReport:
     spec: GammaSpec
     degree_ok: bool  # order of h equals 2 p^(e-r-1)
-    closed_form_ok: bool  # conn matches the p^(r+1) k +- 1 description
+    closed_form_ok: bool  # h = -1 mod p^(r+1); with degree_ok, <h> is the closed form
     fixed_formula_ok: bool  # multiples-of-p formula matches the orbit oracle
     independent: bool
     vertex_cut: bool
@@ -100,13 +100,21 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
     evaluated even if an early one fails.
 
+    The graph's S is the closed form, the residues congruent to +-1 mod
+    t = p^(r+1), and no walk of <h> checks it.  t divides q, so those
+    residues form a subgroup of Z_q^*: the kernel of Z_q^* -> Z_t^*, of
+    order q/t, times {+-1}, which meets it only in 1 (t >= 3), so of order
+    2p^(e-r-1).  When h = -1 mod t (`closed_form_ok`) the subgroup holds h,
+    so it is <h> exactly when ord(h) = 2p^(e-r-1) (`degree_ok`).
+
     One BFS on Gamma - F decides the cut.  The witness p + 1 needs no second
-    search for r >= 1: with t = p^(r+1), which divides q, every s in S is
-    +-1 mod t (`closed_form_ok`), and every x = +-p mod t is a nonzero
-    multiple of p, so in F.  A walk from 0 in Gamma - F thus keeps x mod t
-    in (-p, p), and t >= p^2 >= 2p + 1 puts p + 1, which survives, outside.
+    search for r >= 1: every s in S is +-1 mod t, and every x = +-p mod t
+    is a nonzero multiple of p, so in F.  A walk from 0 in Gamma - F thus
+    keeps x mod t in (-p, p), and t >= p^2 >= 2p + 1 puts p + 1, which
+    survives, outside.
     """
     spec, g = build_gamma(p, e, r)
+    t = p ** (r + 1)
     fixed = gamma_fixed_points(spec)
     rep = rotation_report(spec.q, spec.h)
     vertex_cut = g.is_vertex_cut(fixed)
@@ -115,8 +123,8 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     expected_fixed = fixed if r <= e - 2 else ()
     return GammaReport(
         spec=spec,
-        degree_ok=rep.d == spec.degree and g.degree == spec.degree,
-        closed_form_ok=g.conn == connection_closed_form(spec),
+        degree_ok=rep.d == spec.degree,
+        closed_form_ok=spec.h % t == t - 1,
         fixed_formula_ok=rep.fixed == expected_fixed,
         independent=g.is_independent_set(fixed),
         vertex_cut=vertex_cut,

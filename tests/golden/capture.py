@@ -98,6 +98,8 @@ QUERIES = (
     # Cay(Z_{3^15}, {x = +-1 mod 3^14}): a rotation's fixed points above
     # rotation.FIXED_SET_LIMIT are refused before they are listed
     + [["verify", "14348907", "1,4782968,4782970,9565937,9565939,14348906"]]
+    # Gamma_{q,r} with a cut near GAMMA_Q_LIMIT, S from the closed form
+    + [["gamma", "3", "13", "1"], ["gamma", "7", "7", "2"]]
 )
 
 

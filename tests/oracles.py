@@ -2,12 +2,15 @@
 
 They share no code with the package: the kernels in frobcirc._kernels, the
 rotation search and fixed-point closed form in frobcirc.rotation, the
-validation and independence test of Circulant, the semiregularity
-criterion of frobcirc.classifier and the closed-form TL diameter of
-frobcirc.harts are each compared with an independent implementation here.
-`orbits_loop` and `ord_p` are the only orbit partition and p-adic valuation
-the tests have; the package computes neither.
+validation and independence test of Circulant, the arithmetic report of
+frobcirc.classifier and the closed-form TL diameter of frobcirc.harts are
+each compared with an independent implementation here.  `orbits_loop` and
+`ord_p` are the only orbit partition and p-adic valuation the tests have,
+and `multiplier_scan` and `multiplier_loop` the only isomorphism scans; the
+package computes none of them.
 """
+
+from math import gcd
 
 import numpy as np
 
@@ -103,6 +106,59 @@ def face_lengths_loop(n, conn, w):
                 dart = ((u + t) % n, -w * t % n)
             lengths.append(length)
     return lengths
+
+
+def is_semiregular(n, subgroup):
+    """H acts semiregularly on Z_n \\ {0} iff gcd(h - 1, n) = 1 for every
+    non-identity h in H."""
+    return all(gcd(h - 1, n) == 1 for h in subgroup if h % n != 1)
+
+
+def maps_onto_itself(n, h, S):
+    """h S = S as sets."""
+    return {h * s % n for s in S} == set(S)
+
+
+def symmetric_loop(n, S):
+    """S = -S, element by element."""
+    members = set(S)
+    return all(n - s in members for s in members)
+
+
+def multiplier_scan(n, conn_a, conn_b):
+    """Smallest unit sigma with sigma * conn_a inside conn_b, or 0.
+
+    Vectorized over all units at once: it holds phi(n) |conn_a| int64
+    products, so it is for the desk-scale n of the tests; the products fit
+    int64 for n <= 10**9."""
+    if n > 10**9:
+        raise ValueError(f"n = {n} exceeds the supported limit {10**9}")
+    mask = np.zeros(n, np.bool_)
+    mask[conn_b] = True
+    units = np.arange(1, n, dtype=np.int64)
+    units = units[np.gcd(units, n) == 1]
+    hits = mask[(units[:, None] * conn_a[None, :]) % n].all(axis=1)
+    idx = np.flatnonzero(hits)
+    return int(units[idx[0]]) if idx.size else 0
+
+
+def iso_multiplier(g, g2):
+    """Some unit sigma with sigma * g.conn = g2.conn setwise, or None.
+
+    A multiplier is always an isomorphism.  The converse fails in general:
+    Z_n has connection sets that are not CI-subsets (Elspas & Turner 1970;
+    Muzychuk 1997), so None alone does not prove non-isomorphism.  When
+    g.conn lies in Z_n^*, Toida's conjecture (proved by Muzychuk,
+    Klin & Poeschel 2001 and by Dobson & Morris 2002) makes the scan decide
+    isomorphism.
+    """
+    if g.n != g2.n:
+        raise ValueError(f"moduli differ: {g.n} != {g2.n}")
+    if g.degree != g2.degree:
+        return None
+    conn_a = np.array(g.conn, dtype=np.int64)
+    sigma = multiplier_scan(g.n, conn_a, np.array(g2.conn, dtype=np.int64))
+    return sigma or None
 
 
 def multiplier_loop(n, conn_a, conn_b):

@@ -11,10 +11,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import ord_p
+from oracles import iso_multiplier, ord_p
 
 from frobcirc import _kernels
-from frobcirc.circulant import iso_multiplier
+from frobcirc.circulant import Circulant
 from frobcirc.classifier import (
     admissible_degrees,
     enumerate_classes,
@@ -81,17 +81,17 @@ def test_criterion_3_oracle_sweep():
         for d in admissible_degrees(f):
             classes = enumerate_classes(f, d)
             assert len(classes) == euler_phi(factorize(d)) ** (f.num_primes - 1)
-            for c in classes:
-                g = c.graph
+            graphs = [Circulant(n, c.subgroup) for c in classes]
+            for c, g in zip(classes, graphs):
                 sub = np.array(c.subgroup, dtype=np.int64)
                 assert _kernels.semiregular_scan(n, sub), (n, d, c.h)
                 assert is_complete_rotation(g, c.h), (n, d, c.h)
                 assert g.is_connected(), (n, d, c.h)
                 assert d < smallest, (n, d)
                 checked += 1
-            for i, a in enumerate(classes):
-                for b in classes[i + 1 :]:
-                    assert iso_multiplier(a.graph, b.graph) is None, (n, d)
+            for i, a in enumerate(graphs):
+                for b in graphs[i + 1 :]:
+                    assert iso_multiplier(a, b) is None, (n, d)
     elapsed = time.perf_counter() - t0
     report(3, elapsed < 60.0, f"{checked} classes, {elapsed:.1f} s")
 
@@ -168,5 +168,5 @@ def test_criterion_8_prime_order_arc_transitive():
                 continue
             classes = enumerate_classes(f, d)
             assert len(classes) == 1, (p, d)
-            assert find_all_rotations(classes[0].graph), (p, d)
+            assert find_all_rotations(Circulant(p, classes[0].subgroup)), (p, d)
     report(8, True, "p in {5,7,11,13}, every even d | p-1")

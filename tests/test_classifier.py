@@ -1,10 +1,18 @@
 from math import gcd
 
 import pytest
-from oracles import cyclic_subgroups_loop, semiregular_by_local_orders, semiregular_loop
+from oracles import (
+    cyclic_subgroups_loop,
+    is_semiregular,
+    iso_multiplier,
+    maps_onto_itself,
+    semiregular_by_local_orders,
+    semiregular_loop,
+    symmetric_loop,
+)
 
 from frobcirc import classifier
-from frobcirc.circulant import iso_multiplier
+from frobcirc.circulant import Circulant
 from frobcirc.cli import class_record
 from frobcirc.classifier import (
     DEGREE_LIMIT,
@@ -13,13 +21,12 @@ from frobcirc.classifier import (
     all_classes,
     construct_h,
     enumerate_classes,
-    is_semiregular,
     max_degree_D,
     subgroup_of,
     verify_first_kind_frobenius,
 )
 from frobcirc.errors import BadExponent, EvenKernel, InadmissibleDegree, NotAUnit
-from frobcirc.numtheory import euler_phi, factorize
+from frobcirc.numtheory import euler_phi, factorize, multiplicative_order
 from frobcirc.rotation import is_complete_rotation
 
 F6253 = factorize(6253)
@@ -142,9 +149,10 @@ class TestEnumerate:
 
     def test_pairwise_non_isomorphic(self):
         classes = enumerate_classes(F6253, 12)
-        for i, a in enumerate(classes):
-            for b in classes[i + 1 :]:
-                assert iso_multiplier(a.graph, b.graph) is None
+        graphs = [Circulant(c.n, c.subgroup) for c in classes]
+        for i, a in enumerate(graphs):
+            for b in graphs[i + 1 :]:
+                assert iso_multiplier(a, b) is None
 
     def test_degree_limit(self, monkeypatch):
         f = factorize(999999937)
@@ -155,7 +163,7 @@ class TestEnumerate:
             raise AssertionError("a class was built")
 
         with monkeypatch.context() as m:
-            m.setattr(classifier, "subgroup_of", no_class)
+            m.setattr(classifier, "FrobeniusClass", no_class)
             with pytest.raises(ValueError, match="degree 999999936 exceeds the supported limit"):
                 all_classes(f)
         assert DEGREE_LIMIT < 999999936
@@ -212,66 +220,87 @@ class TestVerify:
             assert report.ok, (c.d, c.h, report)
 
     def test_nine_cycle_passes(self):
-        c = FrobeniusClass(9, 2, 8, subgroup_of(8, 9), (1,))
+        c = FrobeniusClass(9, 2, 8, (1,))
         assert verify_first_kind_frobenius(c).ok
 
     def test_27_fails_semiregularity(self):
-        c = FrobeniusClass(27, 6, 8, subgroup_of(8, 27), (1,))
+        c = FrobeniusClass(27, 6, 8, (1,))
         report = verify_first_kind_frobenius(c)
         assert not report.semiregular
         assert not report.ok
 
     def test_subgroup_not_generated_by_h_fails(self):
-        # <2> is all of Z_13^*: 1 in S, 4 S = S and |S| = 12, but 4 has order 6
-        c = FrobeniusClass(13, 12, 4, subgroup_of(2, 13), (1,))
-        report = verify_first_kind_frobenius(c)
-        assert not report.regular_on_s
-        assert not report.ok
-        assert report.semiregular and report.connected and report.degree_bound
-        # h = 5 lies outside S = <4>, so h S != S
-        c = FrobeniusClass(13, 6, 5, subgroup_of(4, 13), (1,))
-        assert not verify_first_kind_frobenius(c).regular_on_s
-        # S = <h> but d is not |S|
-        c = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
-        assert not verify_first_kind_frobenius(c).regular_on_s
+        # d is not the order of h: 4 has order 6 mod 13, 5 has order 4
+        for d, h in [(12, 4), (6, 5), (4, 4)]:
+            report = verify_first_kind_frobenius(FrobeniusClass(13, d, h, (1,)))
+            assert not report.regular_on_s, (d, h)
+            assert not report.ok, (d, h)
+            assert report.connected and report.degree_bound, (d, h)
 
     def test_asymmetric_subgroup_fails(self):
         # <3> = {1, 3, 9} in Z_13 is not closed under negation (d = 3 is odd)
-        c = FrobeniusClass(13, 3, 3, (1, 3, 9), (1,))
-        assert subgroup_of(3, 13) == c.subgroup
+        c = FrobeniusClass(13, 3, 3, (1,))
+        assert c.subgroup == (1, 3, 9)
         report = verify_first_kind_frobenius(c)
         assert report.regular_on_s and report.semiregular and report.connected
         assert report.symmetric is False
         assert report.ok is False
-        # S != <h> (5 is outside S): negation is checked element by element
-        report = verify_first_kind_frobenius(FrobeniusClass(13, 3, 5, (1, 3, 9), (1,)))
+        report = verify_first_kind_frobenius(FrobeniusClass(13, 3, 5, (1,)))
         assert not report.regular_on_s and not report.symmetric
-        for S in [(1, 5, 8, 12), (1, 12)]:
-            assert verify_first_kind_frobenius(FrobeniusClass(13, 4, 2, S, (1,))).symmetric
+        # <5> = {1, 5, 8, 12} and <12> = {1, 12} hold -1
+        for d, h in [(4, 5), (2, 12)]:
+            assert verify_first_kind_frobenius(FrobeniusClass(13, d, h, (1,))).symmetric
 
     def test_stabilizer_bruteforce_equivalence(self):
-        # exhaustive stabilizer triviality equals the gcd criterion
+        # exhaustive stabilizer triviality equals the report's gcd criterion
         for n, h in [(91, 90), (27, 8), (6253, 5507), (169, 70)]:
             sub = subgroup_of(h, n)
             brute = all(
                 h2 * x % n != x for h2 in sub if h2 != 1 for x in range(1, n)
             )
-            assert brute == is_semiregular(n, sub), (n, h)
+            report = verify_first_kind_frobenius(FrobeniusClass(n, len(sub), h, (1,)))
+            assert brute == report.semiregular, (n, h)
 
     def test_report_matches_general_checks_below_700(self):
-        # the report's per-generator gcds and the record's shortcut for
-        # S = <h> agree with the checks that scan all of S
+        # the report's pow and gcd tests and the record's `rotational` agree
+        # with the checks that scan all of S
         for n in range(3, 700, 2):
             for c in all_classes(factorize(n)):
                 report = verify_first_kind_frobenius(c)
-                assert report.semiregular == is_semiregular(n, c.subgroup), (n, c.h)
+                S = c.subgroup
+                regular = 1 in S and len(S) == c.d and maps_onto_itself(n, c.h, S)
+                assert report.regular_on_s == regular, (n, c.h)
+                assert report.semiregular == is_semiregular(n, S), (n, c.h)
+                assert report.symmetric == symmetric_loop(n, S), (n, c.h)
                 rotational = class_record(c, oracle=False)["rotational"]
-                assert rotational == is_complete_rotation(c.graph, c.h), (n, c.h)
-        # S != <h>: the record falls back to the general test, either way
-        orbit_too_short = FrobeniusClass(13, 12, 4, subgroup_of(2, 13), (1,))
-        wrong_degree = FrobeniusClass(13, 4, 4, subgroup_of(4, 13), (1,))
-        assert not class_record(orbit_too_short, oracle=False)["rotational"]
-        assert class_record(wrong_degree, oracle=False)["rotational"]
+                assert rotational == is_complete_rotation(Circulant(n, S), c.h), (n, c.h)
+        # d = 4 is not the order 6 of h = 4 mod 13: the record reads d
+        wrong_degree = FrobeniusClass(13, 4, 4, (1,))
+        assert not class_record(wrong_degree, oracle=False)["rotational"]
+
+    def test_report_matches_general_checks_on_every_cyclic_subgroup(self):
+        # every unit h of every odd n < 160, with d its order: the classes'
+        # checks plus the semiregular and symmetric verdicts that fail
+        verdicts = set()
+        for n in range(3, 160, 2):
+            for h in range(1, n):
+                if gcd(h, n) != 1:
+                    continue
+                S = subgroup_of(h, n)
+                report = verify_first_kind_frobenius(FrobeniusClass(n, len(S), h, (1,)))
+                assert report.regular_on_s and report.connected, (n, h)
+                assert report.semiregular == is_semiregular(n, S), (n, h)
+                assert report.symmetric == symmetric_loop(n, S), (n, h)
+                verdicts.add((report.semiregular, report.symmetric))
+        assert verdicts == {(a, b) for a in (False, True) for b in (False, True)}
+
+    def test_largest_degree_reads_no_element_of_s(self):
+        # K_1999993, d = 1999992 = DEGREE_LIMIT - 8: one class, h a primitive root
+        (c,) = enumerate_classes(factorize(1999993), 1999992)
+        assert c.d <= DEGREE_LIMIT
+        assert verify_first_kind_frobenius(c).ok
+        assert multiplicative_order(c.h, c.n) == c.d
+        assert "subgroup" not in vars(c)
 
 
 def test_connection_pairs_below_400():

@@ -6,11 +6,11 @@ from oracles import bfs_loop, orbits_loop
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
+from frobcirc.classifier import subgroup_of
 from frobcirc.errors import ExponentTooSmall
 from frobcirc.gamma import (
     GAMMA_Q_LIMIT,
     build_gamma,
-    connection_closed_form,
     gamma_fixed_points,
     verify_theorem_q,
 )
@@ -77,7 +77,7 @@ class TestStructure:
     def test_subgroup_order_and_closed_form(self, p, e, r):
         spec, g = build_gamma(p, e, r)
         assert multiplicative_order(spec.h, spec.q) == 2 * p ** (e - r - 1)
-        assert g.conn == connection_closed_form(spec)
+        assert g.conn == subgroup_of(spec.h, spec.q)
         assert g.degree == spec.degree
 
     @pytest.mark.parametrize("p,e,r", GRID)

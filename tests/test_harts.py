@@ -1,10 +1,9 @@
 import io
 
 import pytest
-from oracles import diameter_loop, tl_diameter_check
+from oracles import diameter_loop, iso_multiplier, tl_diameter_check
 
 from frobcirc import _kernels, harts
-from frobcirc.circulant import iso_multiplier
 from frobcirc.classifier import FrobeniusClass, verify_first_kind_frobenius
 from frobcirc.cli import main
 from frobcirc.errors import SizeTooSmall
@@ -45,7 +44,8 @@ class TestTLGraph:
         g = tl_graph(k)
         h = 3 * k + 2
         assert multiplicative_order(h, g.n) == 6
-        c = FrobeniusClass(g.n, 6, h, g.conn, (1,))
+        c = FrobeniusClass(g.n, 6, h, (1,))
+        assert c.subgroup == g.conn
         assert verify_first_kind_frobenius(c).ok
 
 

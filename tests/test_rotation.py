@@ -4,14 +4,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from oracles import face_lengths_loop, orbits_loop, rotations_loop
+from oracles import face_lengths_loop, is_semiregular, orbits_loop, rotations_loop
 
 from frobcirc import rotation
 from frobcirc.circulant import Circulant
 from frobcirc.classifier import (
     all_classes,
     enumerate_classes,
-    is_semiregular,
     subgroup_of,
 )
 from frobcirc.errors import NotARotation, NotAUnit
@@ -223,9 +222,32 @@ class TestFindAllRotations:
         for g in (TL19, Z8_MIXED, k101, Circulant(9, (3, 6)), gamma_graph(243, 8), tl_graph(50)):
             assert find_all_rotations(g) == rotations_loop(g.n, g.conn), g.n
 
+    def test_every_rotation_has_the_same_fixed_points(self):
+        # a connected graph's rotations all generate T = S s0^(-1), so one
+        # rotation's F answers for all of them (`verify` reports only one)
+        rng = random.Random(23)
+        with_fixed = 0
+        for _ in range(600):
+            n = rng.randrange(3, 300)
+            units = [u for u in range(1, n) if gcd(u, n) == 1]
+            u = rng.choice(units)
+            T = subgroup_of(u, n)
+            if n - 1 not in T:  # <-u> holds -1 when u has odd order
+                T = subgroup_of(n - u, n)
+            if n - 1 not in T:
+                continue
+            a = rng.choice(units)
+            g = Circulant(n, tuple(a * t % n for t in T))
+            rotations = find_all_rotations(g)
+            assert rotations and g.is_connected(), (n, g.conn)
+            (fixed,) = {rotation_report(n, w).fixed for w in rotations}
+            assert fixed == orbits_loop(n, rotations[0])[1], (n, g.conn)
+            with_fixed += len(rotations) > 1 and fixed != ()
+        assert with_fixed > 50
+
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
-            assert c.h in find_all_rotations(c.graph)
+            assert c.h in find_all_rotations(Circulant(c.n, c.subgroup))
 
 
 class TestGossipCertificate:
@@ -302,7 +324,8 @@ class TestCayleyMap:
         checked = 0
         for n in (7, 13, 19, 37, 91, 6253):
             for c in all_classes(factorize(n)):
-                genus = self.genus(c.graph, find_all_rotations(c.graph)[0])
+                g = Circulant(c.n, c.subgroup)
+                genus = self.genus(g, find_all_rotations(g)[0])
                 assert genus >= 0
                 if c.d == 2:
                     assert genus == 0  # the n-cycle bounds two n-gons
