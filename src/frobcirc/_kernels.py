@@ -1,19 +1,14 @@
-"""Hot inner loops: circulant BFS and sumsets, and the semiregularity scan
-over one element per prime-order subgroup.
+"""Hot inner loops: circulant BFS and sumsets.
 
 One vectorized numpy implementation per kernel.  The tests compare each one
 against a plain-loop oracle (tests/oracles.py).
 
 All kernels take int64 arrays of residues mod n.  The sums in _sumset and
-bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces;
-the products in semiregular_scan fit for n <= SCAN_LIMIT, which it checks.
+bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces.
 
 numpy is imported inside each kernel, not here, so that a process that never
-runs one (`harts`, `verify` with no fixed points, `classify` without the
-oracle) never loads it.
+runs one (`harts`, `classify`, `verify` with no fixed points) never loads it.
 """
-
-from .numtheory import factorize
 
 BACKEND = "numpy"
 
@@ -21,9 +16,6 @@ BACKEND = "numpy"
 DENSE_RATIO = 4
 # The dense step's rounding is exact below this modulus (see _sumset).
 DENSE_MAX_N = 2**31
-# Largest n semiregular_scan takes: it holds about 24 bytes per residue of
-# [1, n), so 48 MB here, where n = 10**7 peaked at 268 MB RSS.
-SCAN_LIMIT = 2 * 10**6
 
 
 def _sumset(n, conn, members):
@@ -84,63 +76,3 @@ def bfs_distances(n, conn, source, blocked):
         dist[nxt] = level
         frontier = nxt
     return dist
-
-
-def _prime_order_elements(n, elems, l):
-    """The elements of `elems` with g^l = 1 mod n and g != 1, for a prime l:
-    exactly those of order l.  Square-and-multiply over the whole array."""
-    import numpy as np
-
-    power = np.ones_like(elems)
-    base = elems
-    e = l
-    while e:
-        if e & 1:
-            power = power * base % n
-        base = base * base % n
-        e >>= 1
-    return elems[(power == 1) & (elems != 1)]
-
-
-def semiregular_scan(n, subgroup):
-    """Does no non-identity h in the subgroup H of Z_n^* fix a nonzero
-    residue mod n?
-
-    Scans one generator of each subgroup of prime order of H against every
-    x in [1, n), which is enough: if h != 1 fixes x, so does every power of
-    h, among them h^(ord h / l) of prime order l; and two elements that
-    generate the same subgroup fix the same residues.  By Cauchy's theorem
-    the primes l are those dividing |H|; a group of prime order is its own
-    only such subgroup.  For cyclic H of order d that is omega(d) passes,
-    one per distinct prime of d, instead of d - 1.  `subgroup` must be
-    closed under multiplication mod n.
-    """
-    import numpy as np
-
-    if n > SCAN_LIMIT:
-        raise ValueError(f"n = {n} exceeds the scan's limit {SCAN_LIMIT}")
-    elems = np.asarray(subgroup, dtype=np.int64)
-    d = elems.size
-    reps = []
-    for l in factorize(d).primes:
-        if l == d:
-            reps.append(elems[0] if elems[0] != 1 else elems[1])
-            continue
-        covered = set()
-        for g in _prime_order_elements(n, elems, l).tolist():
-            if g in covered:
-                continue
-            reps.append(g)
-            x = g
-            while x != 1:
-                covered.add(x)
-                x = x * g % n
-    xs = np.arange(1, n, dtype=np.int64)
-    for h in reps:
-        # h x = x mod n iff n divides (h - 1) x; numpy's floor division by a
-        # scalar divisor has a fast path (libdivide) that its % lacks
-        k = (h - 1) * xs
-        if np.any(k // n * n == k):
-            return False
-    return True
-

@@ -1,10 +1,11 @@
 """The prime-power family Gamma_{q,r} = Cay(Z_q, <(p-1)^(p^r)>), q = p^e.
 
 For an odd prime p, e >= 3 and 0 <= r <= e-1 this is a connected rotational
-circulant of degree 2 p^(e-r-1).  Its rotation's fixed point set F is the
-nonzero multiples of p, always independent, and a vertex-cut exactly when
-r >= 1 (the r >= 1 instances generalize Lichiardopol's counterexample; the
-r = 0 instances certify the gossip bound).
+circulant of degree 2 p^(e-r-1).  The set F of nonzero multiples of p is
+always independent, and a vertex-cut exactly when r >= 1 (the r >= 1
+instances generalize Lichiardopol's counterexample; the r = 0 instances
+certify the gossip bound).  For r <= e-2, F is the fixed point set of the
+rotation h; at r = e-1 the graph is the q-cycle and h = -1 fixes nothing.
 """
 
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ class GammaReport:
     spec: GammaSpec
     degree_ok: bool  # order of h equals 2 p^(e-r-1)
     closed_form_ok: bool  # h = -1 mod p^(r+1); with degree_ok, <h> is the closed form
-    fixed_formula_ok: bool  # multiples-of-p formula matches the orbit oracle
+    fixed_formula_ok: bool  # rotation_report's fixed points: F for r <= e-2, none at r = e-1
     independent: bool
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
@@ -118,8 +119,8 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     fixed = gamma_fixed_points(spec)
     rep = rotation_report(spec.q, spec.h)
     vertex_cut = g.is_vertex_cut(fixed)
-    # orbit oracle: multiples of p for r <= e-2; the q-cycle rotation -1 at
-    # r = e-1 is fixed-point free
+    # rotation_report's closed form gives the multiples of p for r <= e-2;
+    # the q-cycle rotation -1 at r = e-1 is fixed-point free
     expected_fixed = fixed if r <= e - 2 else ()
     return GammaReport(
         spec=spec,

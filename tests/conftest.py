@@ -19,7 +19,7 @@ def dense_steps(monkeypatch):
 @pytest.fixture
 def scan_passes(monkeypatch):
     """A list that gets the array size of every np.any call, one per element
-    that _kernels.semiregular_scan tests against [1, n)."""
+    that oracles.semiregular_scan tests against [1, n)."""
     sizes = []
     any_ = np.any
 

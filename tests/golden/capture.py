@@ -73,14 +73,15 @@ QUERIES = (
         ["classify", "2999", "--format", "csv"],
     ]
     # the limits: a degree above DEGREE_LIMIT and a modulus whose vertex sums
-    # overflow int64 exit 2, while degree 2 of the same prime and the TL
-    # diameter at n near 3 * 10^18 still answer
+    # overflow int64 exit 2, while degree 2 of the same prime, with or
+    # without the oracle, and the TL diameter at n near 3 * 10^18 still answer
     + [
         ["classify", "999999937", "--degree", "2"],
         ["classify", "999999937"],
         ["harts", "1000000000"],
         ["harts", "10000000000"],
         ["verify", "18446744073709551617", "1,18446744073709551616"],
+        ["classify", "999999937", "--degree", "2", "--oracle"],
     ]
     # gossip certificates whose F is not empty: Gamma_{27,0}, six rotations,
     # holds with a bound; and <17> mod 77, whose F is the multiples of 7 and

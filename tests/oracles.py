@@ -3,11 +3,13 @@
 They share no code with the package: the kernels in frobcirc._kernels, the
 rotation search and fixed-point closed form in frobcirc.rotation, the
 validation and independence test of Circulant, the arithmetic report of
-frobcirc.classifier and the closed-form TL diameter of frobcirc.harts are
-each compared with an independent implementation here.  `orbits_loop` and
-`ord_p` are the only orbit partition and p-adic valuation the tests have,
-and `multiplier_scan` and `multiplier_loop` the only isomorphism scans; the
-package computes none of them.
+frobcirc.classifier, the gcd oracle of `classify --oracle` and the
+closed-form TL diameter of frobcirc.harts are each compared with an
+independent implementation here.  `orbits_loop` and `ord_p` are the only
+orbit partition and p-adic valuation the tests have, `multiplier_scan` and
+`multiplier_loop` the only isomorphism scans, and `semiregular_scan` and
+`semiregular_loop` the only scans of every nonzero residue for a fixed
+point; the package computes none of them.
 """
 
 from math import gcd
@@ -53,6 +55,82 @@ def tl_diameter_check(k):
     n = 3 * k * k + 3 * k + 1
     conn = [s % n for s in (1, -1, 3 * k + 1, -3 * k - 1, 3 * k + 2, -3 * k - 2)]
     return diameter_loop(n, conn) == k
+
+
+def prime_divisors(m):
+    """The distinct primes of m >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+# Largest n semiregular_scan takes: it holds about 24 bytes per residue of
+# [1, n), so 48 MB here, where n = 10**7 peaked at 268 MB RSS.
+SCAN_LIMIT = 2 * 10**6
+
+
+def _prime_order_elements(n, elems, l):
+    """The elements of `elems` with g^l = 1 mod n and g != 1, for a prime l:
+    exactly those of order l.  Square-and-multiply over the whole array."""
+    power = np.ones_like(elems)
+    base = elems
+    e = l
+    while e:
+        if e & 1:
+            power = power * base % n
+        base = base * base % n
+        e >>= 1
+    return elems[(power == 1) & (elems != 1)]
+
+
+def semiregular_scan(n, subgroup):
+    """Does no non-identity h in the subgroup H of Z_n^* fix a nonzero
+    residue mod n?
+
+    Scans one generator of each subgroup of prime order of H against every
+    x in [1, n), which is enough: if h != 1 fixes x, so does every power of
+    h, among them h^(ord h / l) of prime order l; and two elements that
+    generate the same subgroup fix the same residues.  By Cauchy's theorem
+    the primes l are those dividing |H|; a group of prime order is its own
+    only such subgroup.  For cyclic H of order d that is omega(d) passes,
+    one per distinct prime of d, instead of d - 1.  `subgroup` must be
+    closed under multiplication mod n.  The products fit int64 for
+    n <= SCAN_LIMIT, which it checks.
+    """
+    if n > SCAN_LIMIT:
+        raise ValueError(f"n = {n} exceeds the scan's limit {SCAN_LIMIT}")
+    elems = np.asarray(subgroup, dtype=np.int64)
+    d = elems.size
+    reps = []
+    for l in prime_divisors(d):
+        if l == d:
+            reps.append(elems[0] if elems[0] != 1 else elems[1])
+            continue
+        covered = set()
+        for g in _prime_order_elements(n, elems, l).tolist():
+            if g in covered:
+                continue
+            reps.append(g)
+            x = g
+            while x != 1:
+                covered.add(x)
+                x = x * g % n
+    xs = np.arange(1, n, dtype=np.int64)
+    for h in reps:
+        # h x = x mod n iff n divides (h - 1) x; numpy's floor division by a
+        # scalar divisor has a fast path (libdivide) that its % lacks
+        k = (h - 1) * xs
+        if np.any(k // n * n == k):
+            return False
+    return True
 
 
 def semiregular_loop(n, subgroup):
@@ -278,18 +356,7 @@ def circulant_validation(n, conn):
 def semiregular_by_local_orders(n, h, d):
     """Cyclic-case cross-check: for a unit h of order d, <h> is semiregular
     on Z_n \\ {0} iff h has order d modulo every prime factor of n."""
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    for p in primes:
+    for p in prime_divisors(n):
         order = 1
         x = h % p
         while x != 1:

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import gcd
 
 import pytest
@@ -11,12 +12,13 @@ from oracles import (
     symmetric_loop,
 )
 
-from frobcirc import classifier
+from frobcirc import classifier, cli
 from frobcirc.circulant import Circulant
 from frobcirc.cli import class_record
 from frobcirc.classifier import (
     DEGREE_LIMIT,
     FrobeniusClass,
+    FrobeniusReport,
     admissible_degrees,
     all_classes,
     construct_h,
@@ -280,19 +282,33 @@ class TestVerify:
 
     def test_report_matches_general_checks_on_every_cyclic_subgroup(self):
         # every unit h of every odd n < 160, with d its order: the classes'
-        # checks plus the semiregular and symmetric verdicts that fail
+        # checks plus the semiregular and symmetric verdicts that fail, and
+        # the record's --oracle verdict against the scan of every residue
         verdicts = set()
         for n in range(3, 160, 2):
             for h in range(1, n):
                 if gcd(h, n) != 1:
                     continue
                 S = subgroup_of(h, n)
-                report = verify_first_kind_frobenius(FrobeniusClass(n, len(S), h, (1,)))
+                c = FrobeniusClass(n, len(S), h, (1,))
+                report = verify_first_kind_frobenius(c)
                 assert report.regular_on_s and report.connected, (n, h)
                 assert report.semiregular == is_semiregular(n, S), (n, h)
                 assert report.symmetric == symmetric_loop(n, S), (n, h)
+                frobenius = report.ok and semiregular_loop(n, S)
+                assert class_record(c, oracle=True)["frobenius"] == frobenius, (n, h)
                 verdicts.add((report.semiregular, report.symmetric))
         assert verdicts == {(a, b) for a in (False, True) for b in (False, True)}
+
+    def test_oracle_overrules_a_wrong_report(self, monkeypatch):
+        # <8> mod 27 = {1, 8, 10, 17, 19, 26} holds 10, which fixes 3; with a
+        # report that wrongly says ok, only the oracle sees it
+        c = FrobeniusClass(27, 6, 8, (1,))
+        assert not semiregular_loop(27, c.subgroup)
+        always_ok = FrobeniusReport(*[True] * len(fields(FrobeniusReport)))
+        monkeypatch.setattr(cli, "verify_first_kind_frobenius", lambda c: always_ok)
+        assert class_record(c, oracle=True)["frobenius"] is False
+        assert class_record(c, oracle=False)["frobenius"] is True
 
     def test_largest_degree_reads_no_element_of_s(self):
         # K_1999993, d = 1999992 = DEGREE_LIMIT - 8: one class, h a primitive root

@@ -126,20 +126,16 @@ class TestClassify:
             code, _ = run(["classify", n, "--format", fmt, *flag])
             assert code == 0
 
-    def test_oracle_above_limit(self, monkeypatch, capsys):
-        # the scan would ask numpy for about 24 GB; nothing is built or scanned
-        def nothing(*args):
-            raise AssertionError("classify built a class or scanned")
-
-        for name in ["all_classes", "enumerate_classes"]:
-            monkeypatch.setattr(cli, name, nothing)
-        monkeypatch.setattr(_kernels, "semiregular_scan", nothing)
-        code, text = run(["classify", "999999937", "--degree", "2", "--oracle"])
-        assert code == 2
-        assert text == ""
-        assert capsys.readouterr().err == (
-            "error: n = 999999937 exceeds the oracle's limit 2000000 (pass --no-oracle)\n"
-        )
+    def test_oracle_needs_no_modulus_cap(self, capsys):
+        # one gcd per element of S, so --oracle is bounded by DEGREE_LIMIT
+        # alone: the cycle class of a prime near 10^9, S = {1, n - 1}, is Frobenius
+        argv = ["classify", "999999937", "--degree", "2", "--oracle", "--format", "json"]
+        code, text = run(argv)
+        assert code == 0
+        (record,) = json.loads(text)
+        assert record["connection_set"] == [1, 999999936]
+        assert record["frobenius"] is True
+        assert capsys.readouterr().err == ""
 
 
 INT_LIST = st.lists(st.integers(), max_size=6)
@@ -378,37 +374,42 @@ def numpy_probe(queries):
 
 class TestNumpyOnFirstUse:
     """numpy loads with the first array kernel, never at import: `harts`,
-    `verify` with an empty fixed point set and `classify` without the oracle
-    run no kernel."""
+    `classify` with or without the oracle and `verify` with an empty fixed
+    point set run no kernel."""
 
     TL300 = ["verify", "270901", "1,901,902,269999,270000,270900"]
     PRIME = ["verify", "100000007", "1,100000006"]
     FORMATS = ("table", "json", "csv")
 
     def test_closed_form_commands_never_load_numpy(self):
+        golden = [
+            ["harts", "5"],
+            self.TL300,
+            ["classify", "91", "--format", "table"],
+            ["classify", "2039", "--oracle"],
+        ]
         classify = [["classify", "6253", "--no-oracle", "--format", f] for f in self.FORMATS]
-        queries = [["harts", "5"], self.TL300, self.PRIME, *classify]
+        queries = [*golden, self.PRIME, *classify]
         loaded, runs = numpy_probe(queries)
         assert loaded == [False] * (len(queries) + 1)
-        for argv, got in zip(queries[:2], runs):
+        for argv, got in zip(golden, runs):
             want = GOLDEN_BY_ARGV[tuple(argv)]
             assert got == [want["code"], want["stdout"], want["stderr"]], argv
-        assert runs[2][0] == 0
-        assert "fixed points of 100000006: empty\n" in runs[2][1]
-        assert runs[2][1].endswith("gossip certificate: holds, exact value 50000003\n")
-        for f, got in zip(self.FORMATS, runs[3:]):
+        prime = runs[len(golden)]
+        assert prime[0] == 0
+        assert "fixed points of 100000006: empty\n" in prime[1]
+        assert prime[1].endswith("gossip certificate: holds, exact value 50000003\n")
+        for f, got in zip(self.FORMATS, runs[len(golden) + 1 :]):
             # the golden records let the oracle switch itself off, with a warning
             want = GOLDEN_BY_ARGV[("classify", "6253", "--format", f)]
             assert got == [want["code"], want["stdout"], ""], f
 
-    @pytest.mark.parametrize(
-        "argv", [["gamma", "7", "4", "0"], ["classify", "91", "--format", "table"]]
-    )
+    # verify 8 1,7: the rotation 7 fixes 4, so the certificate runs the kernels
+    @pytest.mark.parametrize("argv", [["gamma", "7", "4", "0"], ["verify", "8", "1,7"]])
     def test_array_kernels_load_numpy(self, argv):
         loaded, runs = numpy_probe([argv])
         assert loaded == [False, True]
-        want = GOLDEN_BY_ARGV[tuple(argv)]
-        assert runs == [[want["code"], want["stdout"], want["stderr"]]]
+        assert runs == [list(run_in_process(argv))]
 
 
 def test_golden_records_match_capture_list():

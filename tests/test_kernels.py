@@ -1,10 +1,19 @@
-"""The numpy kernels must agree with the plain-loop oracles in oracles.py."""
+"""The numpy kernels must agree with the plain-loop oracles in oracles.py, and
+so must the numpy scans kept there as references (semiregularity, multipliers)."""
 
 import random
 
 import numpy as np
 import pytest
-from oracles import bfs_loop, multiplier_loop, multiplier_scan, semiregular_loop, sumset_loop
+from oracles import (
+    SCAN_LIMIT,
+    bfs_loop,
+    multiplier_loop,
+    multiplier_scan,
+    semiregular_loop,
+    semiregular_scan,
+    sumset_loop,
+)
 
 from frobcirc import _kernels
 
@@ -114,7 +123,7 @@ def test_semiregular_agreement():
             sub.append(x)
             x = x * h % n
         arr = np.array(sorted(sub), dtype=np.int64)
-        assert _kernels.semiregular_scan(n, arr) == semiregular_loop(n, arr)
+        assert semiregular_scan(n, arr) == semiregular_loop(n, arr)
 
 
 def generated_subgroup(n, gens):
@@ -148,7 +157,7 @@ def test_semiregular_agreement_generated():
         units = [u for u in range(2, n) if np.gcd(u, n) == 1]
         sub = generated_subgroup(n, rng.sample(units, min(len(units), rng.randint(2, 3))))
         ref = semiregular_loop(n, sub)
-        assert _kernels.semiregular_scan(n, np.array(sub, dtype=np.int64)) == ref, (n, sub)
+        assert semiregular_scan(n, np.array(sub, dtype=np.int64)) == ref, (n, sub)
         seen.add((is_cyclic(n, sub), ref))
     # a semiregular H embeds in the cyclic Z_p^* for each prime p | n, so a
     # non-cyclic H is never semiregular
@@ -167,20 +176,20 @@ def test_semiregular_agreement_generated():
 )
 def test_semiregular_cases(n, sub, expected):
     assert semiregular_loop(n, sub) == expected
-    assert _kernels.semiregular_scan(n, np.array(sub, dtype=np.int64)) == expected
+    assert semiregular_scan(n, np.array(sub, dtype=np.int64)) == expected
 
 
 def test_semiregular_scans_one_element_per_prime_order(scan_passes):
     # K_1019: |H| = 1018 = 2 * 509, so two subgroups of prime order
-    assert _kernels.semiregular_scan(1019, np.arange(1, 1019, dtype=np.int64))
+    assert semiregular_scan(1019, np.arange(1, 1019, dtype=np.int64))
     assert 0 < scan_passes.count(1018) <= 2
 
 
 def test_semiregular_scan_refuses_above_limit():
     # raised before the O(n) residue arrays are allocated
-    assert _kernels.SCAN_LIMIT < 999999937
+    assert SCAN_LIMIT < 999999937
     with pytest.raises(ValueError, match="exceeds the scan's limit"):
-        _kernels.semiregular_scan(999999937, np.array([1, 999999936], dtype=np.int64))
+        semiregular_scan(999999937, np.array([1, 999999936], dtype=np.int64))
 
 
 def test_multiplier_agreement():
