@@ -3,8 +3,9 @@
 One vectorized numpy implementation per kernel.  The tests compare each one
 against a plain-loop oracle (tests/oracles.py).
 
-All kernels take int64 arrays of residues mod n.  The sums in _sumset and
-bfs_distances fit for n < MODULUS_LIMIT = 2**62, which `Circulant` enforces.
+All kernels take int64 arrays of residues mod n, for n <= SEARCH_LIMIT <
+2^31, which `Circulant` enforces: the sums x + s < 2n then fit int64, and
+the dense step of _sumset rounds exactly.
 
 numpy is imported inside each kernel, not here, so that a process that never
 runs one (`harts`, `classify`, `verify` with no fixed points) never loads it.
@@ -14,8 +15,6 @@ BACKEND = "numpy"
 
 # A step takes the sparse path while |X| |S| <= DENSE_RATIO * n.
 DENSE_RATIO = 4
-# The dense step's rounding is exact below this modulus (see _sumset).
-DENSE_MAX_N = 2**31
 
 
 def _sumset(n, conn, members):
@@ -31,13 +30,13 @@ def _sumset(n, conn, members):
     entry by ||x||_2 ||s||_2 O(u log2 n) <= O(n u log2 n), with unit
     roundoff u = 2^-53.  For n < 2^31, n u log2 n < 10^-5, which leaves the
     bound's small constant a margin of over 10^4 before an entry could round
-    to the wrong side of 0.5.  Moduli of DENSE_MAX_N and above keep the
-    sparse step.  Either step allocates O(n): at most DENSE_RATIO * n sums,
-    or a few float arrays of length n.
+    to the wrong side of 0.5, and `Circulant` searches only n <= SEARCH_LIMIT.
+    Either step allocates O(n): at most DENSE_RATIO * n sums, or a few float
+    arrays of length n.
     """
     import numpy as np
 
-    if members.size * conn.size <= DENSE_RATIO * n or n >= DENSE_MAX_N:
+    if members.size * conn.size <= DENSE_RATIO * n:
         # sort and keep first occurrences: np.unique is over 10x slower here
         sums = np.sort((members[:, None] + conn[None, :]).ravel() % n)
         return sums[np.diff(sums, prepend=-1) > 0]

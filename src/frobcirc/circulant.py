@@ -2,7 +2,8 @@
 
 Adjacency is never materialized: a vertex v is adjacent to v + s (mod n) for
 s in the connection set, so BFS works straight off the residue list.  The
-heavy scans live in _kernels.
+heavy scans live in _kernels.  A graph is built and `is_connected` answers
+at any n >= 3; the queries that build arrays of length n need n <= SEARCH_LIMIT.
 """
 
 from bisect import bisect_left
@@ -13,7 +14,11 @@ from math import gcd
 from . import _kernels
 from .errors import DegenerateCut, Disconnected
 
-MODULUS_LIMIT = 2**62  # the kernels add two vertices in int64
+# Largest n searched, the one cap on arrays of length n and on listing F
+# (RotationReport.fixed) or q (gamma).  Fresh process, shared 2-vCPU machine:
+# `gamma 3 12 0` 0.43-0.60 s at 88 MB peak RSS, `gamma 3 13 0` 0.91-1.05 s at
+# 201 MB, `gamma 3 13 1` 0.80-1.13 s at 167 MB.  Below 2^31 (see _kernels).
+SEARCH_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -26,8 +31,6 @@ class Circulant:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"modulus {self.n} must be >= 3")
-        if self.n >= MODULUS_LIMIT:
-            raise ValueError(f"modulus {self.n} must be below 2**62, so vertex sums fit int64")
         conn = tuple(sorted(set(self.conn)))
         if not conn:
             raise ValueError("connection set is empty")
@@ -53,22 +56,28 @@ class Circulant:
     def degree(self) -> int:
         return len(self.conn)
 
+    def _require_search(self):
+        if self.n > SEARCH_LIMIT:
+            raise ValueError(f"n = {self.n} exceeds the search limit {SEARCH_LIMIT}")
+
     def _vertices(self, members):
         """`members` as an int64 array, each checked to be a vertex in [0, n)."""
         import numpy as np
 
         try:
             vs = np.fromiter(members, dtype=np.int64)
-        except OverflowError:  # beyond int64, so outside [0, n) too
+        except OverflowError:  # beyond int64: outside [0, n) for a searchable n
+            self._require_search()
             vs = np.array([-1])
         if vs.size and (vs.min() < 0 or vs.max() >= self.n):
             raise ValueError(f"member outside [0, {self.n})")
         return vs
 
     def _mask(self, vertices):
-        """The indicator of an array of vertices, a bool array of length n."""
+        """The indicator of an array of vertices: the first array of length n of every search."""
         import numpy as np
 
+        self._require_search()
         mask = np.zeros(self.n, dtype=np.bool_)
         mask[vertices] = True
         return mask

@@ -10,15 +10,10 @@ rotation h; at r = e-1 the graph is the q-cycle and h = -1 fixes nothing.
 
 from dataclasses import dataclass
 
-from .circulant import Circulant
+from .circulant import SEARCH_LIMIT, Circulant
 from .errors import ExponentTooSmall
 from .numtheory import factorize
-from .rotation import FIXED_SET_LIMIT, rotation_report
-
-# Largest q = p^e accepted.  In a fresh process on a shared 2-vCPU machine
-# `gamma 3 12 0` takes 0.47-0.61 s at 95 MB peak RSS, `gamma 3 13 0` 1.1-1.4 s
-# at 221 MB and `gamma 3 13 1` 1.0-1.3 s at 188 MB; both grow with q.
-GAMMA_Q_LIMIT = FIXED_SET_LIMIT
+from .rotation import rotation_report
 
 
 @dataclass(frozen=True)
@@ -41,8 +36,8 @@ def _validate(p: int, e: int, r: int):
     q = 1
     for _ in range(e):  # stops at the limit, so a huge e costs nothing
         q *= p
-        if q > GAMMA_Q_LIMIT:
-            raise ValueError(f"q = {p}^{e} exceeds the supported limit {GAMMA_Q_LIMIT}")
+        if q > SEARCH_LIMIT:  # the report searches Gamma - F
+            raise ValueError(f"q = {p}^{e} exceeds the supported limit {SEARCH_LIMIT}")
 
 
 def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:
@@ -57,10 +52,10 @@ def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:
 
 def connection_closed_form(spec: GammaSpec) -> tuple[int, ...]:
     """The subgroup <h> as {p^(r+1) k +- 1 mod q : 0 <= k < p^(e-r-1)}, that
-    is, the residues congruent to +-1 mod step = p^(r+1), ascending; step >= 3,
-    so the two ranges are disjoint."""
+    is, the residues congruent to +-1 mod step = p^(r+1): two disjoint ranges,
+    as step >= 3, and unsorted; `Circulant` puts them in order."""
     step = spec.p ** (spec.r + 1)
-    return tuple(sorted([*range(1, spec.q, step), *range(step - 1, spec.q, step)]))
+    return (*range(1, spec.q, step), *range(step - 1, spec.q, step))
 
 
 def gamma_fixed_points(spec: GammaSpec) -> tuple[int, ...]:
@@ -79,7 +74,7 @@ class GammaReport:
     spec: GammaSpec
     degree_ok: bool  # order of h equals 2 p^(e-r-1)
     closed_form_ok: bool  # h = -1 mod p^(r+1); with degree_ok, <h> is the closed form
-    fixed_formula_ok: bool  # rotation_report's fixed points: F for r <= e-2, none at r = e-1
+    fixed_formula_ok: bool  # the rotation's steps: (p,) for r <= e-2, () at r = e-1
     independent: bool
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
@@ -119,14 +114,11 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     fixed = gamma_fixed_points(spec)
     rep = rotation_report(spec.q, spec.h)
     vertex_cut = g.is_vertex_cut(fixed)
-    # rotation_report's closed form gives the multiples of p for r <= e-2;
-    # the q-cycle rotation -1 at r = e-1 is fixed-point free
-    expected_fixed = fixed if r <= e - 2 else ()
     return GammaReport(
         spec=spec,
         degree_ok=rep.d == spec.degree,
         closed_form_ok=spec.h % t == t - 1,
-        fixed_formula_ok=rep.fixed == expected_fixed,
+        fixed_formula_ok=rep.steps == ((p,) if r <= e - 2 else ()),
         independent=g.is_independent_set(fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),

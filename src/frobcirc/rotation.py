@@ -7,16 +7,12 @@ the order of w.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
-from .circulant import Circulant
-from .errors import NotARotation
+from .circulant import SEARCH_LIMIT, Circulant
+from .errors import Disconnected, NotARotation
 from .numtheory import factorize, multiplicative_order, require_unit
-
-# Largest n for which a non-empty fixed point set F is listed: F costs a
-# Python int per residue, and a BFS on the graph minus F about 10 n bytes.
-# gamma.GAMMA_Q_LIMIT is this value; the F of Gamma_{q,r} is never empty.
-FIXED_SET_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -25,15 +21,24 @@ class RotationReport:
 
     A residue v lies in a <w>-orbit shorter than d exactly when
     w^(d/l) v = v for some prime l | d, that is, when v is a multiple of
-    m_l = n / gcd(n, w^(d/l) - 1).  So F (`fixed`) is the union, over the
-    primes l | d, of the arithmetic progressions range(m_l, n, m_l), in
-    ascending order: at most omega(d) of them, and none when every m_l = n.
+    m_l = n / gcd(n, w^(d/l) - 1).  So F is the union, over the `steps`
+    m_l < n, of the arithmetic progressions range(m_l, n, m_l): at most
+    omega(d) of them, and none when every m_l = n.
     """
 
     n: int
     w: int
     d: int  # order of w mod n
-    fixed: tuple[int, ...]  # union of short orbits
+    steps: tuple[int, ...]  # the distinct m_l below n, ascending
+
+    @cached_property
+    def fixed(self) -> tuple[int, ...]:
+        """F, ascending, listed on first use; a non-empty F above SEARCH_LIMIT is refused."""
+        if self.steps and self.n > SEARCH_LIMIT:
+            raise ValueError(
+                f"n = {self.n} exceeds the limit {SEARCH_LIMIT} for fixed points of {self.w}"
+            )
+        return tuple(sorted(set().union(*(range(m, self.n, m) for m in self.steps))))
 
 
 def is_complete_rotation(g: Circulant, w: int) -> bool:
@@ -57,24 +62,12 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
 
 
 def rotation_report(n: int, w: int) -> RotationReport:
-    """The order of w and its fixed points on Z_n \\ {0}.
-
-    F is read off the steps m_l < n (see RotationReport): empty when there
-    is none, one range when there is one (as for Gamma_{q,r}), and the
-    sorted union of the ranges otherwise.  No array of length n is built.
-    A non-empty F with n > FIXED_SET_LIMIT raises ValueError, unlisted.
-    """
+    """The order of w and the steps m_l < n of its fixed points on
+    Z_n \\ {0} (see RotationReport), at any n: F itself is not listed."""
     d = multiplicative_order(w, n)  # NotAUnit unless w is a unit
     w %= n
     steps = {n // gcd(n, pow(w, d // ell, n) - 1) for ell in factorize(d).primes} - {n}
-    if steps and n > FIXED_SET_LIMIT:
-        raise ValueError(f"n = {n} exceeds the limit {FIXED_SET_LIMIT} for fixed points of {w}")
-    if len(steps) == 1:
-        (m,) = steps
-        fixed = tuple(range(m, n, m))
-    else:  # none, or several progressions to merge
-        fixed = tuple(sorted({v for m in steps for v in range(m, n, m)}))
-    return RotationReport(n, w, d, fixed)
+    return RotationReport(n, w, d, tuple(sorted(steps)))
 
 
 def find_all_rotations(g: Circulant) -> list[int]:
@@ -91,8 +84,9 @@ def find_all_rotations(g: Circulant) -> list[int]:
     of T with u^(|S|/l) != 1 for the primes l | |S| is checked for uT = T,
     and the rotations are the unit lifts to Z_n of all that pass, or none.
 
-    A circulant embeds as a balanced regular Cayley map exactly when it is
-    rotational, so `bool(find_all_rotations(g))` also answers that question.
+    A connected circulant embeds as a balanced regular Cayley map exactly
+    when this list is non-empty.  A disconnected one embeds as none (S must
+    generate Z_n), yet Cay(Z_9, {3, 6}) has the rotations [2, 5, 8].
     """
     n, conn = g.n, g.conn
     gcds = {gcd(s, n) for s in conn}
@@ -130,11 +124,14 @@ class GossipCertificate:
 
 
 def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
-    """Certificate for the complete rotation w of g; NotARotation otherwise."""
+    """Certificate for the complete rotation w of a connected g; Disconnected
+    for a disconnected g, NotARotation for any other w."""
+    if not g.is_connected():
+        raise Disconnected("gossip certificate of a disconnected graph")
     if not is_complete_rotation(g, w):
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
     rep = rotation_report(g.n, w)
-    exact = not rep.fixed
+    exact = not rep.steps
     independent = exact or g.is_independent_set(rep.fixed)
     vertex_cut = not exact and g.is_vertex_cut(rep.fixed)
     return GossipCertificate(

@@ -72,9 +72,11 @@ QUERIES = (
         ["classify", "2477", "--format", "table"],
         ["classify", "2999", "--format", "csv"],
     ]
-    # the limits: a degree above DEGREE_LIMIT and a modulus whose vertex sums
-    # overflow int64 exit 2, while degree 2 of the same prime, with or
-    # without the oracle, and the TL diameter at n near 3 * 10^18 still answer
+    # the limits: a degree above DEGREE_LIMIT exits 2, while degree 2 of the
+    # same prime, with or without the oracle, answers; so do the TL diameter
+    # at n near 3 * 10^18 and 3 * 10^20 and a verify that searches nothing;
+    # verify on 2^64 + 1 exits 2 at FACTOR_LIMIT, factoring n for the order
+    # of its rotation
     + [
         ["classify", "999999937", "--degree", "2"],
         ["classify", "999999937"],
@@ -82,6 +84,7 @@ QUERIES = (
         ["harts", "10000000000"],
         ["verify", "18446744073709551617", "1,18446744073709551616"],
         ["classify", "999999937", "--degree", "2", "--oracle"],
+        ["verify", "10000000000000000000000", "1,2,9999999999999999999998,9999999999999999999999"],
     ]
     # gossip certificates whose F is not empty: Gamma_{27,0}, six rotations,
     # holds with a bound; and <17> mod 77, whose F is the multiples of 7 and
@@ -97,9 +100,9 @@ QUERIES = (
     # K_101: S is all of Z_101^*, so every unit of order 100 is a rotation
     + [["verify", "101", ",".join(map(str, range(1, 101)))]]
     # Cay(Z_{3^15}, {x = +-1 mod 3^14}): a rotation's fixed points above
-    # rotation.FIXED_SET_LIMIT are refused before they are listed
+    # circulant.SEARCH_LIMIT are refused before they are listed
     + [["verify", "14348907", "1,4782968,4782970,9565937,9565939,14348906"]]
-    # Gamma_{q,r} with a cut near GAMMA_Q_LIMIT, S from the closed form
+    # Gamma_{q,r} with a cut near SEARCH_LIMIT, S from the closed form
     + [["gamma", "3", "13", "1"], ["gamma", "7", "7", "2"]]
 )
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from oracles import circulant_validation, independent_loop, iso_multiplier
 
-from frobcirc.circulant import Circulant
+from frobcirc.circulant import SEARCH_LIMIT, Circulant
 from frobcirc.classifier import enumerate_classes, subgroup_of
 from frobcirc.errors import DegenerateCut, Disconnected
 from frobcirc.gamma import build_gamma
@@ -44,13 +44,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Circulant(2, (1,))
 
-    def test_modulus_limit(self):
-        # vertex sums x + s < 2n must fit int64
-        n = 2**62 - 1
-        assert Circulant(n, (1, n - 1)).conn == (1, n - 1)
-        for n in (2**62, 2**64 + 1):
-            with pytest.raises(ValueError, match="below 2\\*\\*62"):
-                Circulant(n, (1, n - 1))
+    def test_any_modulus(self):
+        # construction and the gcd criterion build no array of length n
+        for n in (2**62, 2**64 + 1, 10**22):
+            g = Circulant(n, (n - 1, 1, 2, n - 2))
+            assert g.conn == (1, 2, n - 2, n - 1)
+            assert g.is_connected()
+        assert not Circulant(10**22, (2, 10**22 - 2)).is_connected()
 
     def test_validation_matches_set_based_checks(self):
         # duplicates, 0, n, negatives, elements past n and asymmetric sets;
@@ -231,6 +231,41 @@ class TestVertexCut:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestSearchLimit:
+    HUGE = Circulant(2**64 + 1, (1, 2**64))
+
+    QUERIES = {
+        "independent_beyond_int64": lambda g: g.is_independent_set([2**63]),  # still a vertex
+        "independent": lambda g: g.is_independent_set([5]),
+        "independent_empty": lambda g: g.is_independent_set([]),
+        "cut": lambda g: g.is_vertex_cut([5]),
+        "cut_beyond_int64": lambda g: g.is_vertex_cut([2**63]),
+        "diameter": lambda g: g.diameter(),
+        "eccentricity": lambda g: g.eccentricity(2**63),
+        "reachable": lambda g: g.reachable_from(0),
+    }
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_refused_before_any_allocation(self, query):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the search limit 2000000"):
+                self.QUERIES[query](self.HUGE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_outside_member_still_reported(self):
+        with pytest.raises(ValueError, match="outside"):
+            self.HUGE.is_vertex_cut([-1])
+
+    def test_boundary(self):
+        assert cycle(SEARCH_LIMIT).is_independent_set([0, 2])
+        with pytest.raises(ValueError, match="search limit"):
+            cycle(SEARCH_LIMIT + 1).is_independent_set([0, 2])
 
 
 class TestDiameter:

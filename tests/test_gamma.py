@@ -6,16 +6,16 @@ from oracles import bfs_loop, orbits_loop
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
+from frobcirc.circulant import SEARCH_LIMIT
 from frobcirc.classifier import subgroup_of
 from frobcirc.errors import ExponentTooSmall
 from frobcirc.gamma import (
-    GAMMA_Q_LIMIT,
     build_gamma,
     gamma_fixed_points,
     verify_theorem_q,
 )
 from frobcirc.numtheory import multiplicative_order
-from frobcirc.rotation import gossip_certificate, rotation_report
+from frobcirc.rotation import RotationReport, gossip_certificate, rotation_report
 
 GRID = [
     (p, e, r)
@@ -65,7 +65,7 @@ class TestBuild:
 
         monkeypatch.setattr(gamma, "Circulant", no_graph)
         # 127^3 = 2,048,383 is the least p^e (e >= 3) above the limit
-        assert 113**3 <= GAMMA_Q_LIMIT < 127**3 and 5**9 <= GAMMA_Q_LIMIT < 3**14
+        assert 113**3 <= SEARCH_LIMIT < 127**3 and 5**9 <= SEARCH_LIMIT < 3**14
         for p, e in [(127, 3), (3, 14), (3, 10**9)]:
             with pytest.raises(ValueError, match="exceeds the supported limit"):
                 build_gamma(p, e, 0)
@@ -90,10 +90,11 @@ class TestStructure:
         if r <= e - 2:
             # the rotation's fixed points are exactly the multiples of p,
             # so the graph is never Frobenius here
+            assert rep.steps == (p,)
             assert rep.fixed == fixed
         else:
             # r = e-1 degenerates to the q-cycle with rotation -1
-            assert rep.fixed == ()
+            assert rep.steps == rep.fixed == ()
 
     @pytest.mark.parametrize(
         "p,e,r", [(p, e, r) for (p, e, r) in GRID if r <= e - 2]
@@ -121,6 +122,17 @@ class TestDichotomy:
             assert report.gossip_bound == gossip_certificate(g, report.spec.h).bound
         else:
             assert report.gossip_bound is None
+
+    def test_rotation_fixed_points_never_listed(self, monkeypatch):
+        # the report reads F off the rotation's steps, and lists it only once,
+        # for the kernels, through gamma_fixed_points
+        def listed(rep):
+            raise AssertionError(f"F of {rep.w} listed")
+
+        monkeypatch.setattr(RotationReport, "fixed", property(listed))
+        for p, e, r in ((3, 3, 0), (3, 4, 1), (5, 3, 2), (7, 3, 1), (3, 5, 4)):
+            report = verify_theorem_q(p, e, r)
+            assert report.ok and report.fixed_formula_ok, (p, e, r)
 
     def test_one_bfs_per_instance(self, monkeypatch):
         # one search on Gamma - F decides the cut; the witness takes none

@@ -95,16 +95,6 @@ def test_sumset_large_modulus_exact(dense_steps):
     assert np.array_equal(got, np.unique((members[:, None] + conn[None, :]) % n))
 
 
-def test_sumset_above_dense_max_n_stays_sparse(dense_steps, monkeypatch):
-    monkeypatch.setattr(_kernels, "DENSE_MAX_N", 50)
-    n = 60
-    conn = interval_conn(n, 20)
-    members = np.arange(0, n, 2, dtype=np.int64)
-    got = _kernels._sumset(n, conn, members)
-    assert got.tolist() == sumset_loop(n, conn, members.tolist())
-    assert dense_steps == []
-
-
 def test_sumset_empty():
     conn = interval_conn(10, 2)
     assert _kernels._sumset(10, conn, np.array([], dtype=np.int64)).size == 0

@@ -7,13 +7,13 @@ import pytest
 from oracles import face_lengths_loop, is_semiregular, orbits_loop, rotations_loop
 
 from frobcirc import rotation
-from frobcirc.circulant import Circulant
+from frobcirc.circulant import SEARCH_LIMIT, Circulant
 from frobcirc.classifier import (
     all_classes,
     enumerate_classes,
     subgroup_of,
 )
-from frobcirc.errors import NotARotation, NotAUnit
+from frobcirc.errors import Disconnected, NotARotation, NotAUnit
 from frobcirc.harts import tl_graph
 from frobcirc.numtheory import factorize
 from frobcirc.rotation import (
@@ -145,9 +145,31 @@ class TestRotationReport:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert rotation.FIXED_SET_LIMIT < n
+        assert SEARCH_LIMIT < n
         # an empty F is answered at any n
         assert rotation_report(100000007, 100000006).fixed == ()
+
+    def test_steps_at_any_n(self):
+        # the report holds F as its steps: above the limit it lists nothing,
+        # and only reading F refuses
+        n = 3**15
+        w = find_all_rotations(
+            Circulant(n, (1, 3**14 - 1, 3**14 + 1, 2 * 3**14 - 1, 2 * 3**14 + 1, n - 1))
+        )[0]
+        tracemalloc.start()
+        try:
+            rep = rotation_report(n, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert (rep.d, rep.steps) == (6, (3,))
+        with pytest.raises(ValueError, match=f"exceeds the limit 2000000 for fixed points of {w}"):
+            rep.fixed
+        # one step per prime l | d with m_l < n, ascending: 77 = 7 * 11
+        assert rotation_report(77, 17).steps == (7, 11)
+        assert rotation_report(27, 8).steps == (3,)
+        assert rotation_report(19, 8).steps == ()
 
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
@@ -273,6 +295,17 @@ class TestGossipCertificate:
     def test_not_a_rotation(self):
         with pytest.raises(NotARotation):
             gossip_certificate(TL19, 2)
+
+    @pytest.mark.parametrize(
+        "n,conn,w", [(9, (3, 6), 8), (15, (5, 10), 14), (4, (2,), 1)], ids=["Z9", "Z15", "Z4"]
+    )
+    def test_disconnected_graph_raises(self, n, conn, w):
+        # w is a complete rotation with no fixed points, yet the gossip
+        # bound needs a connected graph
+        g = Circulant(n, conn)
+        assert is_complete_rotation(g, w) and rotation_report(n, w).steps == ()
+        with pytest.raises(Disconnected):
+            gossip_certificate(g, w)
 
     def test_one_report_and_w_read_mod_n(self, monkeypatch):
         calls = []
