@@ -24,9 +24,7 @@ from .harts import harts_graph, harts_iso_tl, tl_diameter, tl_graph
 from .numtheory import (
     Factorization,
     crt_combine,
-    euler_phi,
     factorize,
-    multiplicative_order,
     primitive_root,
 )
 from .rotation import (
@@ -54,7 +52,6 @@ __all__ = [
     "construct_h",
     "crt_combine",
     "enumerate_classes",
-    "euler_phi",
     "factorize",
     "find_all_rotations",
     "gamma_fixed_points",
@@ -63,7 +60,6 @@ __all__ = [
     "harts_iso_tl",
     "is_complete_rotation",
     "max_degree_D",
-    "multiplicative_order",
     "primitive_root",
     "rotation_report",
     "tl_diameter",

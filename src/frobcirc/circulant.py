@@ -130,10 +130,7 @@ class Circulant:
     def diameter(self) -> int:
         """Eccentricity of vertex 0; valid for the whole graph by
         vertex-transitivity."""
-        dist = self._distances(0, self._mask([]))
-        if (dist < 0).any():
-            raise Disconnected("diameter of a disconnected graph")
-        return int(dist.max())
+        return self.eccentricity(0)
 
     def eccentricity(self, v: int) -> int:
         dist = self._distances(v, self._mask([]))

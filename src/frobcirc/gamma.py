@@ -79,7 +79,7 @@ class GammaReport:
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
     witness: int | None  # p + 1 when F is a cut: unreachable by the argument in verify_theorem_q
-    gossip_bound: int | None  # ceil((q-1)/d) for the rotation's order d, when F is not a cut
+    gossip_bound: int | None  # ceil((q-1)/degree), when F is not a cut
 
     @property
     def ok(self) -> bool:
@@ -94,7 +94,9 @@ class GammaReport:
 
 def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
-    evaluated even if an early one fails.
+    evaluated even if an early one fails.  `degree_ok` is h^deg = 1 and
+    h^(deg/l) != 1 for the primes l | deg = 2p^(e-r-1); the rotation's steps
+    are read only when it holds, and `fixed_formula_ok` is False otherwise.
 
     The graph's S is the closed form, the residues congruent to +-1 mod
     t = p^(r+1), and no walk of <h> checks it.  t divides q, so those
@@ -110,18 +112,21 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     survives, outside.
     """
     spec, g = build_gamma(p, e, r)
+    q, h, deg = spec.q, spec.h, spec.degree
     t = p ** (r + 1)
     fixed = gamma_fixed_points(spec)
-    rep = rotation_report(spec.q, spec.h)
+    gens = [pow(h, deg // l, q) for l in factorize(deg).primes]
+    degree_ok = pow(h, deg, q) == 1 and 1 not in gens
     vertex_cut = g.is_vertex_cut(fixed)
     return GammaReport(
         spec=spec,
-        degree_ok=rep.d == spec.degree,
-        closed_form_ok=spec.h % t == t - 1,
-        fixed_formula_ok=rep.steps == ((p,) if r <= e - 2 else ()),
+        degree_ok=degree_ok,
+        closed_form_ok=h % t == t - 1,
+        fixed_formula_ok=degree_ok
+        and rotation_report(q, h, deg).steps == ((p,) if r <= e - 2 else ()),
         independent=g.is_independent_set(fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),
-        witness=spec.p + 1 if vertex_cut else None,
-        gossip_bound=None if vertex_cut else -(-(spec.q - 1) // rep.d),
+        witness=p + 1 if vertex_cut else None,
+        gossip_bound=None if vertex_cut else -(-(q - 1) // deg),
     )

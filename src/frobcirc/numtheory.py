@@ -1,8 +1,12 @@
-"""Exact integer and modular arithmetic: factorization, orders, CRT.
+"""Exact integer and modular arithmetic: factorization, the unit check,
+primitive roots, CRT.
 
 Everything here works on plain Python integers, so results are exact at any
 size.  Factorization is deterministic trial division and deliberately capped
 at 10**9; this library targets desk-scale moduli, not cryptographic ones.
+No multiplicative order is computed: each order the package uses is a
+degree its caller holds (|S| for a rotation, d for a class), checked by
+`pow` against the primes of that degree.
 """
 
 from dataclasses import dataclass
@@ -61,33 +65,10 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def euler_phi(f: Factorization) -> int:
-    phi = 1
-    for p, e in f.factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
 def require_unit(a: int, m: int):
     """Raise NotAUnit unless gcd(a, m) = 1."""
     if gcd(a, m) != 1:
         raise NotAUnit(f"{a} is not a unit mod {m}")
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Least k >= 1 with a**k = 1 (mod m).
-
-    Computed by starting from the group order phi(m) and stripping prime
-    factors, not by linear scan.
-    """
-    if m < 2:
-        raise ValueError(f"modulus {m} must be >= 2")
-    require_unit(a, m)
-    order = euler_phi(factorize(m))
-    for p, _ in factorize(order).factors:
-        while order % p == 0 and pow(a, order // p, m) == 1:
-            order //= p
-    return order
 
 
 def primitive_root(p: int, e: int = 1) -> int:

@@ -12,7 +12,7 @@ from math import gcd
 
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import Disconnected, NotARotation
-from .numtheory import factorize, multiplicative_order, require_unit
+from .numtheory import factorize, require_unit
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,17 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
     return True
 
 
-def rotation_report(n: int, w: int) -> RotationReport:
-    """The order of w and the steps m_l < n of its fixed points on
-    Z_n \\ {0} (see RotationReport), at any n: F itself is not listed."""
-    d = multiplicative_order(w, n)  # NotAUnit unless w is a unit
-    w %= n
-    steps = {n // gcd(n, pow(w, d // ell, n) - 1) for ell in factorize(d).primes} - {n}
-    return RotationReport(n, w, d, tuple(sorted(steps)))
+def rotation_report(n: int, w: int, d: int) -> RotationReport:
+    """The steps m_l < n of the fixed points on Z_n \\ {0} of the unit w of
+    order d (see RotationReport), at any n: F itself is not listed.  d is
+    the caller's, checked on the powers the steps use: ValueError unless
+    w^d = 1 and w^(d/l) != 1 for the primes l | d."""
+    require_unit(w, n)
+    powers = [pow(w, d // ell, n) for ell in factorize(d).primes]
+    if pow(w, d, n) != 1 or 1 in powers:
+        raise ValueError(f"{w} does not have order {d} mod {n}")
+    steps = {n // gcd(n, x - 1) for x in powers} - {n}
+    return RotationReport(n, w % n, d, tuple(sorted(steps)))
 
 
 def find_all_rotations(g: Circulant) -> list[int]:
@@ -125,12 +129,18 @@ class GossipCertificate:
 
 def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
     """Certificate for the complete rotation w of a connected g; Disconnected
-    for a disconnected g, NotARotation for any other w."""
+    for a disconnected g, NotARotation for any other w.
+
+    w has order |S|.  S is one <w>-orbit, so every s in S has the same gcd
+    with n, and that gcd is 1 as S generates Z_n.  The orbit of the unit s0
+    then has the length of the order of w, and it is S.  (Cay(Z_9, {3, 6})
+    is disconnected, and its rotation 2 has order 6.)
+    """
     if not g.is_connected():
         raise Disconnected("gossip certificate of a disconnected graph")
     if not is_complete_rotation(g, w):
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
-    rep = rotation_report(g.n, w)
+    rep = rotation_report(g.n, w, g.degree)
     exact = not rep.steps
     independent = exact or g.is_independent_set(rep.fixed)
     vertex_cut = not exact and g.is_vertex_cut(rep.fixed)

@@ -75,8 +75,8 @@ QUERIES = (
     # the limits: a degree above DEGREE_LIMIT exits 2, while degree 2 of the
     # same prime, with or without the oracle, answers; so do the TL diameter
     # at n near 3 * 10^18 and 3 * 10^20 and a verify that searches nothing;
-    # verify on 2^64 + 1 exits 2 at FACTOR_LIMIT, factoring n for the order
-    # of its rotation
+    # verify on the cycle on 2^64 + 1 answers too, as n is never factored:
+    # the rotation -1 has order |S| = 2 and no fixed points
     + [
         ["classify", "999999937", "--degree", "2"],
         ["classify", "999999937"],
@@ -102,6 +102,9 @@ QUERIES = (
     # Cay(Z_{3^15}, {x = +-1 mod 3^14}): a rotation's fixed points above
     # circulant.SEARCH_LIMIT are refused before they are listed
     + [["verify", "14348907", "1,4782968,4782970,9565937,9565939,14348906"]]
+    # Gamma_{3^20,18}: above FACTOR_LIMIT, and refused at SEARCH_LIMIT only
+    # when its non-empty F is listed
+    + [["verify", "3486784401", "1,1162261466,1162261468,2324522933,2324522935,3486784400"]]
     # Gamma_{q,r} with a cut near SEARCH_LIMIT, S from the closed form
     + [["gamma", "3", "13", "1"], ["gamma", "7", "7", "2"]]
 )

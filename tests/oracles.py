@@ -6,7 +6,8 @@ validation and independence test of Circulant, the arithmetic report of
 frobcirc.classifier, the gcd oracle of `classify --oracle` and the
 closed-form TL diameter of frobcirc.harts are each compared with an
 independent implementation here.  `orbits_loop` and `ord_p` are the only
-orbit partition and p-adic valuation the tests have, `multiplier_scan` and
+orbit partition and p-adic valuation the tests have, `euler_phi` and
+`multiplicative_order` the only totient and order, `multiplier_scan` and
 `multiplier_loop` the only isomorphism scans, and `semiregular_scan` and
 `semiregular_loop` the only scans of every nonzero residue for a fixed
 point; the package computes none of them.
@@ -70,6 +71,28 @@ def prime_divisors(m):
     if m > 1:
         primes.append(m)
     return primes
+
+
+def euler_phi(n):
+    """The number of units mod n >= 1, from the primes of n."""
+    phi = n
+    for p in prime_divisors(n):
+        phi = phi // p * (p - 1)
+    return phi
+
+
+def multiplicative_order(a, m):
+    """Least k >= 1 with a^k = 1 mod m >= 2: phi(m), its prime factors
+    stripped while the power stays 1.  ValueError unless a is a unit."""
+    if m < 2:
+        raise ValueError(f"modulus {m} must be >= 2")
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}")
+    order = euler_phi(m)
+    for p in prime_divisors(order):
+        while order % p == 0 and pow(a, order // p, m) == 1:
+            order //= p
+    return order
 
 
 # Largest n semiregular_scan takes: it holds about 24 bytes per residue of

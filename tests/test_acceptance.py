@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import iso_multiplier, ord_p, semiregular_scan
+from oracles import euler_phi, iso_multiplier, ord_p, semiregular_scan
 
 from frobcirc.circulant import Circulant
 from frobcirc.classifier import (
@@ -22,7 +22,7 @@ from frobcirc.classifier import (
 from frobcirc.cli import main
 from frobcirc.gamma import build_gamma, gamma_fixed_points
 from frobcirc.harts import harts_graph, harts_iso_tl, tl_graph
-from frobcirc.numtheory import euler_phi, factorize
+from frobcirc.numtheory import factorize
 from frobcirc.rotation import (
     find_all_rotations,
     gossip_certificate,
@@ -66,7 +66,7 @@ def test_criterion_2_class_counts():
     counts = {d: len(enumerate_classes(f, d)) for d in admissible_degrees(f)}
     expected = {2: 1, 4: 2, 6: 2, 12: 4}
     formula = {
-        d: euler_phi(factorize(d)) ** (f.num_primes - 1) for d in admissible_degrees(f)
+        d: euler_phi(d) ** (f.num_primes - 1) for d in admissible_degrees(f)
     }
     report(2, counts == expected == formula, str(counts))
 
@@ -79,7 +79,7 @@ def test_criterion_3_oracle_sweep():
         smallest = f.smallest_prime
         for d in admissible_degrees(f):
             classes = enumerate_classes(f, d)
-            assert len(classes) == euler_phi(factorize(d)) ** (f.num_primes - 1)
+            assert len(classes) == euler_phi(d) ** (f.num_primes - 1)
             graphs = [Circulant(n, c.subgroup) for c in classes]
             for c, g in zip(classes, graphs):
                 sub = np.array(c.subgroup, dtype=np.int64)

@@ -317,7 +317,7 @@ class TestAgainstNetworkx:
                 continue
             assert g.diameter() == nx.diameter(ref), g
             for w in find_all_rotations(g):
-                fixed = rotation_report(g.n, w).fixed
+                fixed = rotation_report(g.n, w, g.degree).fixed
                 survivors = set(range(g.n)) - set(fixed)
                 if len(survivors) >= 2:
                     cut = not nx.is_connected(ref.subgraph(survivors))

@@ -214,9 +214,9 @@ class TestVerify:
     def test_each_rotation_reported_once(self, monkeypatch, argv, reported):
         calls = []
 
-        def counted(n, w, original=rotation.rotation_report):
+        def counted(n, w, d, original=rotation.rotation_report):
             calls.append((n, w))
-            return original(n, w)
+            return original(n, w, d)
 
         monkeypatch.setattr(rotation, "rotation_report", counted)
         code, _ = run(argv)
@@ -387,6 +387,7 @@ class TestNumpyOnFirstUse:
             self.TL300,
             ["classify", "91", "--format", "table"],
             ["classify", "2039", "--oracle"],
+            ["verify", "18446744073709551617", "1,18446744073709551616"],  # n is never factored
         ]
         classify = [["classify", "6253", "--no-oracle", "--format", f] for f in self.FORMATS]
         queries = [*golden, self.PRIME, *classify]

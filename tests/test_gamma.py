@@ -1,20 +1,22 @@
+import io
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
 import pytest
-from oracles import bfs_loop, orbits_loop
+from oracles import bfs_loop, multiplicative_order, orbits_loop
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
 from frobcirc.circulant import SEARCH_LIMIT
 from frobcirc.classifier import subgroup_of
+from frobcirc.cli import main
 from frobcirc.errors import ExponentTooSmall
 from frobcirc.gamma import (
     build_gamma,
     gamma_fixed_points,
     verify_theorem_q,
 )
-from frobcirc.numtheory import multiplicative_order
 from frobcirc.rotation import RotationReport, gossip_certificate, rotation_report
 
 GRID = [
@@ -86,7 +88,7 @@ class TestStructure:
         fixed = gamma_fixed_points(spec)
         assert len(fixed) == p ** (e - 1) - 1
         assert g.is_independent_set(fixed)
-        rep = rotation_report(spec.q, spec.h)
+        rep = rotation_report(spec.q, spec.h, spec.degree)
         if r <= e - 2:
             # the rotation's fixed points are exactly the multiples of p,
             # so the graph is never Frobenius here
@@ -101,7 +103,7 @@ class TestStructure:
     )
     def test_free_part_is_units(self, p, e, r):
         spec, _ = build_gamma(p, e, r)
-        rep = rotation_report(spec.q, spec.h)
+        rep = rotation_report(spec.q, spec.h, spec.degree)
         orbits, _, free = orbits_loop(spec.q, spec.h)
         units = tuple(x for x in range(1, spec.q) if x % p != 0)
         assert free == units
@@ -146,6 +148,31 @@ class TestDichotomy:
         for p, e, r in ((3, 4, 0), (3, 4, 1), (5, 3, 2)):
             verify_theorem_q(p, e, r)
         assert calls == [81, 81, 125]
+
+    @pytest.mark.parametrize("p,e,r", [(3, 3, 0), (3, 4, 1), (5, 3, 2)])
+    def test_wrong_order_h_still_runs_every_check(self, monkeypatch, p, e, r):
+        # h^2 has order p^(e-r-1), half the degree: the degree check and the
+        # fixed-point formula fail, and independence and the cut are still
+        # decided on the same graph
+        def squared(p, e, r, original=gamma.build_gamma):
+            spec, g = original(p, e, r)
+            return replace(spec, h=spec.h**2 % spec.q), g
+
+        want = verify_theorem_q(p, e, r)
+        monkeypatch.setattr(gamma, "build_gamma", squared)
+        report = verify_theorem_q(p, e, r)
+        assert not report.degree_ok and not report.fixed_formula_ok and not report.ok
+        assert report.spec.h == want.spec.h**2 % want.spec.q
+        assert report.independent and want.independent
+        assert (report.vertex_cut, report.dichotomy_ok, report.witness, report.gossip_bound) == (
+            want.vertex_cut,
+            want.dichotomy_ok,
+            want.witness,
+            want.gossip_bound,
+        )
+        out = io.StringIO()
+        assert main(["gamma", str(p), str(e), str(r)], out=out) == 1
+        assert "\ndegree check: FAIL\n" in out.getvalue()
 
     def test_counterexample_243(self):
         report = verify_theorem_q(3, 5, 1)

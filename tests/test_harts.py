@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from oracles import diameter_loop, iso_multiplier, tl_diameter_check
+from oracles import diameter_loop, iso_multiplier, multiplicative_order, tl_diameter_check
 
 from frobcirc import _kernels, harts
 from frobcirc.classifier import FrobeniusClass, verify_first_kind_frobenius
@@ -14,7 +14,6 @@ from frobcirc.harts import (
     tl_graph,
     tl_vertex_count,
 )
-from frobcirc.numtheory import multiplicative_order
 
 
 class TestTLGraph:

@@ -4,7 +4,13 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from oracles import face_lengths_loop, is_semiregular, orbits_loop, rotations_loop
+from oracles import (
+    face_lengths_loop,
+    is_semiregular,
+    multiplicative_order,
+    orbits_loop,
+    rotations_loop,
+)
 
 from frobcirc import rotation
 from frobcirc.circulant import SEARCH_LIMIT, Circulant
@@ -79,17 +85,17 @@ class TestIsCompleteRotation:
 
 class TestRotationReport:
     def test_27_8(self):
-        rep = rotation_report(27, 8)
+        rep = rotation_report(27, 8, 6)
         assert rep.d == 6
         assert rep.fixed == tuple(range(3, 27, 3))
         assert 27 - 1 - len(rep.fixed) == 18  # the free part
 
     def test_prime_modulus_no_fixed_points(self):
-        rep = rotation_report(19, 8)
+        rep = rotation_report(19, 8, 6)
         assert rep.fixed == ()
 
     def test_6253_semiregular(self):
-        rep = rotation_report(6253, 5507)
+        rep = rotation_report(6253, 5507, 4)
         assert rep.fixed == ()
         assert rep.d == 4
         assert all(len(o) == 4 for o in orbits_loop(6253, 5507)[0])
@@ -99,7 +105,7 @@ class TestRotationReport:
             for w in range(2, n):
                 if gcd(w, n) != 1:
                     continue
-                rep = rotation_report(n, w)
+                rep = rotation_report(n, w, multiplicative_order(w, n))
                 orbits, _, free = orbits_loop(n, w)
                 assert len(rep.fixed) + len(free) == n - 1
                 assert all(rep.d % len(o) == 0 for o in orbits)
@@ -114,7 +120,7 @@ class TestRotationReport:
             for w in range(1, n):
                 if gcd(w, n) != 1:
                     continue
-                rep = rotation_report(n, w)
+                rep = rotation_report(n, w, multiplicative_order(w, n))
                 assert rep.fixed == orbits_loop(n, w)[1], (n, w)
 
     @pytest.mark.parametrize("n", [91, 105, 315, 455])
@@ -127,7 +133,7 @@ class TestRotationReport:
             if gcd(w, n) != 1:
                 continue
             fixed = orbits_loop(n, w)[1]
-            assert rotation_report(n, w).fixed == fixed, (n, w)
+            assert rotation_report(n, w, multiplicative_order(w, n)).fixed == fixed, (n, w)
             merged += bool(fixed) and fixed != tuple(range(fixed[0], n, fixed[0]))
         assert merged > 0
 
@@ -147,7 +153,7 @@ class TestRotationReport:
         assert peak < 2**20
         assert SEARCH_LIMIT < n
         # an empty F is answered at any n
-        assert rotation_report(100000007, 100000006).fixed == ()
+        assert rotation_report(100000007, 100000006, 2).fixed == ()
 
     def test_steps_at_any_n(self):
         # the report holds F as its steps: above the limit it lists nothing,
@@ -158,7 +164,7 @@ class TestRotationReport:
         )[0]
         tracemalloc.start()
         try:
-            rep = rotation_report(n, w)
+            rep = rotation_report(n, w, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -167,17 +173,25 @@ class TestRotationReport:
         with pytest.raises(ValueError, match=f"exceeds the limit 2000000 for fixed points of {w}"):
             rep.fixed
         # one step per prime l | d with m_l < n, ascending: 77 = 7 * 11
-        assert rotation_report(77, 17).steps == (7, 11)
-        assert rotation_report(27, 8).steps == (3,)
-        assert rotation_report(19, 8).steps == ()
+        assert rotation_report(77, 17, 30).steps == (7, 11)
+        assert rotation_report(27, 8, 6).steps == (3,)
+        assert rotation_report(19, 8, 6).steps == ()
+
+    def test_order_is_checked_not_computed(self):
+        # 8 has order 6 mod 19: 8^3 = -1, and 8^(12/2) = 1
+        for d in (3, 12):
+            with pytest.raises(ValueError, match=f"8 does not have order {d} mod 19"):
+                rotation_report(19, 8, d)
+        with pytest.raises(NotAUnit):
+            rotation_report(27, 3, 2)
 
     def test_fixed_empty_iff_semiregular(self):
         for n in [91, 301, 1729, 6253]:
             for c in all_classes(factorize(n)):
-                rep = rotation_report(c.n, c.h)
+                rep = rotation_report(c.n, c.h, c.d)
                 assert (rep.fixed == ()) == is_semiregular(c.n, c.subgroup)
         # and a non-semiregular instance has fixed points
-        assert rotation_report(27, 8).fixed != ()
+        assert rotation_report(27, 8, 6).fixed != ()
 
 
 class TestFindAllRotations:
@@ -206,11 +220,11 @@ class TestFindAllRotations:
             pairs = [(s, n - s) for s in range(1, n // 2 + 1)]
             for size in range(1, len(pairs) + 1):
                 for chosen in combinations(pairs, size):
-                    conn = tuple(sorted({x for pair in chosen for x in pair}))
-                    assert find_all_rotations(Circulant(n, conn)) == rotations_loop(n, conn), (
-                        n,
-                        conn,
-                    )
+                    g = Circulant(n, tuple(sorted({x for pair in chosen for x in pair})))
+                    rotations = find_all_rotations(g)
+                    assert rotations == rotations_loop(n, g.conn), (n, g.conn)
+                    if g.is_connected():  # a rotation of a connected graph has order |S|
+                        assert all(multiplicative_order(w, n) == g.degree for w in rotations)
 
     def test_random_sets_up_to_200(self):
         rng = random.Random(17)
@@ -231,8 +245,11 @@ class TestFindAllRotations:
             else:
                 base = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(6, n // 2)))
                 conn = {x for s in base for x in (s, n - s)}
-            conn = tuple(sorted(conn))
-            assert find_all_rotations(Circulant(n, conn)) == rotations_loop(n, conn), (n, conn)
+            g = Circulant(n, tuple(sorted(conn)))
+            rotations = find_all_rotations(g)
+            assert rotations == rotations_loop(n, g.conn), (n, g.conn)
+            if g.is_connected():
+                assert all(multiplicative_order(w, n) == g.degree for w in rotations), (n, g.conn)
         assert find_all_rotations(Z8_MIXED) == rotations_loop(8, Z8_MIXED.conn) == []
 
     def test_no_rotation_check_per_candidate(self, monkeypatch):
@@ -262,7 +279,9 @@ class TestFindAllRotations:
             g = Circulant(n, tuple(a * t % n for t in T))
             rotations = find_all_rotations(g)
             assert rotations and g.is_connected(), (n, g.conn)
-            (fixed,) = {rotation_report(n, w).fixed for w in rotations}
+            # a complete rotation of a connected graph has order |S|
+            assert all(multiplicative_order(w, n) == g.degree for w in rotations), (n, g.conn)
+            (fixed,) = {rotation_report(n, w, g.degree).fixed for w in rotations}
             assert fixed == orbits_loop(n, rotations[0])[1], (n, g.conn)
             with_fixed += len(rotations) > 1 and fixed != ()
         assert with_fixed > 50
@@ -303,22 +322,23 @@ class TestGossipCertificate:
         # w is a complete rotation with no fixed points, yet the gossip
         # bound needs a connected graph
         g = Circulant(n, conn)
-        assert is_complete_rotation(g, w) and rotation_report(n, w).steps == ()
+        assert is_complete_rotation(g, w)
+        assert rotation_report(n, w, multiplicative_order(w, n)).steps == ()
         with pytest.raises(Disconnected):
             gossip_certificate(g, w)
 
     def test_one_report_and_w_read_mod_n(self, monkeypatch):
         calls = []
 
-        def counted(n, w, original=rotation.rotation_report):
+        def counted(n, w, d, original=rotation.rotation_report):
             calls.append((n, w))
-            return original(n, w)
+            return original(n, w, d)
 
         monkeypatch.setattr(rotation, "rotation_report", counted)
         for g, w in [(TL19, 8), (TL19, 12), (gamma_graph(27, 2), 2), (gamma_graph(27, 8), 8)]:
             cert = gossip_certificate(g, w)
             assert calls == [(g.n, w)]
-            assert cert.fixed == rotation_report(g.n, w).fixed
+            assert cert.fixed == rotation_report(g.n, w, g.degree).fixed
             assert gossip_certificate(g, w + g.n) == cert
             calls.clear()
 
@@ -328,7 +348,7 @@ class TestPathCriterion:
         # F fails to cut iff every full-length orbit is reached from 0 in g - F
         for q, h in [(27, 2), (27, 8), (81, 8), (125, 4), (243, 8)]:
             g = gamma_graph(q, h)
-            rep = rotation_report(q, h)
+            rep = rotation_report(q, h, g.degree)
             if not rep.fixed:
                 continue
             reached = g.reachable_from(0, rep.fixed)
