@@ -17,7 +17,6 @@ from .gamma import (
     GammaReport,
     GammaSpec,
     build_gamma,
-    gamma_fixed_points,
     verify_theorem_q,
 )
 from .harts import harts_graph, harts_iso_tl, tl_diameter, tl_graph
@@ -54,7 +53,6 @@ __all__ = [
     "enumerate_classes",
     "factorize",
     "find_all_rotations",
-    "gamma_fixed_points",
     "gossip_certificate",
     "harts_graph",
     "harts_iso_tl",

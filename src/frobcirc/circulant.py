@@ -16,8 +16,8 @@ from .errors import DegenerateCut, Disconnected
 
 # Largest n searched, the one cap on arrays of length n and on listing F
 # (RotationReport.fixed) or q (gamma).  Fresh process, shared 2-vCPU machine:
-# `gamma 3 12 0` 0.43-0.60 s at 88 MB peak RSS, `gamma 3 13 0` 0.91-1.05 s at
-# 201 MB, `gamma 3 13 1` 0.80-1.13 s at 167 MB.  Below 2^31 (see _kernels).
+# `gamma 3 12 0` 0.24-0.26 s at 60 MB peak RSS, `gamma 3 13 0` 0.44-0.53 s at
+# 121 MB, `gamma 3 13 1` 0.50-0.58 s at 154 MB.  Below 2^31 (see _kernels).
 SEARCH_LIMIT = 2 * 10**6
 
 
@@ -61,14 +61,18 @@ class Circulant:
             raise ValueError(f"n = {self.n} exceeds the search limit {SEARCH_LIMIT}")
 
     def _vertices(self, members):
-        """`members` as an int64 array, each checked to be a vertex in [0, n)."""
+        """`members` as an int64 array, each checked to be a vertex in [0, n);
+        an int64 array is taken as it is."""
         import numpy as np
 
-        try:
-            vs = np.fromiter(members, dtype=np.int64)
-        except OverflowError:  # beyond int64: outside [0, n) for a searchable n
-            self._require_search()
-            vs = np.array([-1])
+        if isinstance(members, np.ndarray) and members.dtype == np.int64:
+            vs = members
+        else:
+            try:
+                vs = np.fromiter(members, dtype=np.int64)
+            except OverflowError:  # beyond int64: outside [0, n) for a searchable n
+                self._require_search()
+                vs = np.array([-1])
         if vs.size and (vs.min() < 0 or vs.max() >= self.n):
             raise ValueError(f"member outside [0, {self.n})")
         return vs
@@ -107,7 +111,9 @@ class Circulant:
 
     def is_independent_set(self, members) -> bool:
         """No two members adjacent: (F + conn) and F are disjoint for the
-        member set F.  Members must be vertices in [0, n)."""
+        member set F, at any F.  Members must be vertices in [0, n).  When
+        S = s0 G for a group G of units that maps F onto itself,
+        `rotation.invariant_set_independent` answers with one translate."""
         vs = self._vertices(members)
         return not self._mask(vs)[_kernels._sumset(self.n, self._conn_arr, vs)].any()
 

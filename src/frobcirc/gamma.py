@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import ExponentTooSmall
 from .numtheory import factorize
-from .rotation import rotation_report
+from .rotation import invariant_set_independent, rotation_report
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ def connection_closed_form(spec: GammaSpec) -> tuple[int, ...]:
     return (*range(1, spec.q, step), *range(step - 1, spec.q, step))
 
 
-def gamma_fixed_points(spec: GammaSpec) -> tuple[int, ...]:
-    """The p^(e-1) - 1 nonzero multiples of p; independent of r.
-
-    For r <= e-2 this is exactly the fixed point set of the rotation h.  At
-    r = e-1 the graph degenerates to the q-cycle with h = -1, whose actual
-    fixed point set is empty; the multiples of p remain the set the vertex-cut
-    dichotomy is about.
-    """
-    return tuple(range(spec.p, spec.q, spec.p))
-
-
 @dataclass(frozen=True)
 class GammaReport:
     spec: GammaSpec
@@ -110,11 +99,17 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     is a nonzero multiple of p, so in F.  A walk from 0 in Gamma - F thus
     keeps x mod t in (-p, p), and t >= p^2 >= 2p + 1 puts p + 1, which
     survives, outside.
+
+    Independence takes one translate (`invariant_set_independent` with
+    G = S): S is a subgroup that holds s0 = 1, and a unit maps the nonzero
+    multiples of p onto themselves.  So it does not depend on h.
     """
     spec, g = build_gamma(p, e, r)
+    import numpy as np  # after build_gamma's checks: refused input never loads it
+
     q, h, deg = spec.q, spec.h, spec.degree
     t = p ** (r + 1)
-    fixed = gamma_fixed_points(spec)
+    fixed = np.arange(p, q, p, dtype=np.int64)  # F, the nonzero multiples of p, for every r
     gens = [pow(h, deg // l, q) for l in factorize(deg).primes]
     degree_ok = pow(h, deg, q) == 1 and 1 not in gens
     vertex_cut = g.is_vertex_cut(fixed)
@@ -124,7 +119,7 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
         closed_form_ok=h % t == t - 1,
         fixed_formula_ok=degree_ok
         and rotation_report(q, h, deg).steps == ((p,) if r <= e - 2 else ()),
-        independent=g.is_independent_set(fixed),
+        independent=invariant_set_independent(g, fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),
         witness=p + 1 if vertex_cut else None,

@@ -61,6 +61,18 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
     return True
 
 
+def invariant_set_independent(g: Circulant, members) -> bool:
+    """Is F = `members` independent in g, when S = s0 G for s0 = conn[0]
+    and a group G of units that maps F onto itself?  The caller vouches for
+    G; the answer is then one translate: F is independent iff F and F + s0
+    are disjoint.  If x and x + s are both in F with s = s0 u, u in G, then
+    so are u^(-1) x and u^(-1) x + s0.  O(|F|) work beyond one mask of
+    length n; members must be vertices in [0, n).  Without such a G use
+    `Circulant.is_independent_set`."""
+    vs = g._vertices(members)
+    return not g._mask(vs)[(vs + g.conn[0]) % g.n].any()
+
+
 def rotation_report(n: int, w: int, d: int) -> RotationReport:
     """The steps m_l < n of the fixed points on Z_n \\ {0} of the unit w of
     order d (see RotationReport), at any n: F itself is not listed.  d is
@@ -134,7 +146,9 @@ def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
     w has order |S|.  S is one <w>-orbit, so every s in S has the same gcd
     with n, and that gcd is 1 as S generates Z_n.  The orbit of the unit s0
     then has the length of the order of w, and it is S.  (Cay(Z_9, {3, 6})
-    is disconnected, and its rotation 2 has order 6.)
+    is disconnected, and its rotation 2 has order 6.)  S = s0 <w> with w
+    mapping F onto itself, so one translate decides independence
+    (`invariant_set_independent`).
     """
     if not g.is_connected():
         raise Disconnected("gossip certificate of a disconnected graph")
@@ -142,7 +156,7 @@ def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
     rep = rotation_report(g.n, w, g.degree)
     exact = not rep.steps
-    independent = exact or g.is_independent_set(rep.fixed)
+    independent = exact or invariant_set_independent(g, rep.fixed)
     vertex_cut = not exact and g.is_vertex_cut(rep.fixed)
     return GossipCertificate(
         n=g.n,

@@ -107,6 +107,8 @@ QUERIES = (
     + [["verify", "3486784401", "1,1162261466,1162261468,2324522933,2324522935,3486784400"]]
     # Gamma_{q,r} with a cut near SEARCH_LIMIT, S from the closed form
     + [["gamma", "3", "13", "1"], ["gamma", "7", "7", "2"]]
+    # a cut search that ends with unreached survivors after many dense levels
+    + [["gamma", "5", "9", "1"]]
 )
 
 

@@ -348,6 +348,17 @@ def ord_p(n, p):
     return k
 
 
+def gamma_fixed_points(spec):
+    """The p^(e-1) - 1 nonzero multiples of p of Gamma_{q,r}; independent of r.
+
+    For r <= e-2 this is exactly the fixed point set of the rotation h.  At
+    r = e-1 the graph degenerates to the q-cycle with h = -1, whose actual
+    fixed point set is empty; the multiples of p remain the set the vertex-cut
+    dichotomy is about.
+    """
+    return tuple(range(spec.p, spec.q, spec.p))
+
+
 def independent_loop(n, conn, members):
     """No pairwise difference of members lies in conn."""
     conn = set(conn)

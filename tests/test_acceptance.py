@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import euler_phi, iso_multiplier, ord_p, semiregular_scan
+from oracles import euler_phi, gamma_fixed_points, iso_multiplier, ord_p, semiregular_scan
 
 from frobcirc.circulant import Circulant
 from frobcirc.classifier import (
@@ -20,7 +20,7 @@ from frobcirc.classifier import (
     subgroup_of,
 )
 from frobcirc.cli import main
-from frobcirc.gamma import build_gamma, gamma_fixed_points
+from frobcirc.gamma import build_gamma
 from frobcirc.harts import harts_graph, harts_iso_tl, tl_graph
 from frobcirc.numtheory import factorize
 from frobcirc.rotation import (

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from oracles import circulant_validation, independent_loop, iso_multiplier
 
@@ -12,7 +13,7 @@ from frobcirc.errors import DegenerateCut, Disconnected
 from frobcirc.gamma import build_gamma
 from frobcirc.harts import harts_graph, tl_graph
 from frobcirc.numtheory import factorize
-from frobcirc.rotation import find_all_rotations, rotation_report
+from frobcirc.rotation import find_all_rotations, invariant_set_independent, rotation_report
 
 TL19 = tl_graph(2)  # Cay(Z_19, {1,7,8,11,12,18})
 
@@ -172,6 +173,11 @@ class TestIndependentSet:
             cycle(19).is_independent_set([3, 19])
         with pytest.raises(ValueError):
             cycle(19).is_independent_set([-1])
+        # an int64 array is read as it is, and still checked
+        for bad in ([3, 19], [-1]):
+            with pytest.raises(ValueError):
+                cycle(19).is_vertex_cut(np.array(bad, dtype=np.int64))
+        assert cycle(19).is_vertex_cut(np.array([3, 10], dtype=np.int64))
 
 
 class TestVertexCut:
@@ -240,6 +246,7 @@ class TestSearchLimit:
         "independent_beyond_int64": lambda g: g.is_independent_set([2**63]),  # still a vertex
         "independent": lambda g: g.is_independent_set([5]),
         "independent_empty": lambda g: g.is_independent_set([]),
+        "invariant_independent": lambda g: invariant_set_independent(g, [5]),
         "cut": lambda g: g.is_vertex_cut([5]),
         "cut_beyond_int64": lambda g: g.is_vertex_cut([2**63]),
         "diameter": lambda g: g.diameter(),

@@ -4,19 +4,21 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import bfs_loop, multiplicative_order, orbits_loop
+from oracles import (
+    bfs_loop,
+    gamma_fixed_points,
+    independent_loop,
+    multiplicative_order,
+    orbits_loop,
+)
 
 from frobcirc import _kernels, gamma
 from frobcirc._kernels import bfs_distances
-from frobcirc.circulant import SEARCH_LIMIT
+from frobcirc.circulant import SEARCH_LIMIT, Circulant
 from frobcirc.classifier import subgroup_of
 from frobcirc.cli import main
 from frobcirc.errors import ExponentTooSmall
-from frobcirc.gamma import (
-    build_gamma,
-    gamma_fixed_points,
-    verify_theorem_q,
-)
+from frobcirc.gamma import build_gamma, verify_theorem_q
 from frobcirc.rotation import RotationReport, gossip_certificate, rotation_report
 
 GRID = [
@@ -126,8 +128,8 @@ class TestDichotomy:
             assert report.gossip_bound is None
 
     def test_rotation_fixed_points_never_listed(self, monkeypatch):
-        # the report reads F off the rotation's steps, and lists it only once,
-        # for the kernels, through gamma_fixed_points
+        # the report reads F off the rotation's steps, and hands the kernels
+        # F as one arange
         def listed(rep):
             raise AssertionError(f"F of {rep.w} listed")
 
@@ -173,6 +175,48 @@ class TestDichotomy:
         out = io.StringIO()
         assert main(["gamma", str(p), str(e), str(r)], out=out) == 1
         assert "\ndegree check: FAIL\n" in out.getvalue()
+
+    def test_no_dense_step_once_every_survivor_is_reached(self, dense_steps):
+        # Gamma_{3^8,0}: S is every unit, so level 1, a sparse step from 0,
+        # reaches every survivor, and no FFT follows
+        assert verify_theorem_q(3, 8, 0).ok
+        assert dense_steps == []
+
+    def test_one_spectrum_per_search(self, monkeypatch, dense_steps):
+        # Gamma_{17^3,0} reaches the units +-k mod 17 at level k, levels 2 to
+        # 8 by dense steps: one rfft of S for the search, one of X per step
+        transforms = []
+        rfft = np.fft.rfft
+
+        def spy(*args, **kwargs):
+            transforms.append(args)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        assert verify_theorem_q(17, 3, 0).ok
+        assert len(dense_steps) == 7
+        assert len(transforms) == len(dense_steps) + 1
+
+    def test_independence_by_one_translate(self, monkeypatch):
+        # neither the report nor the gossip certificate runs the general
+        # independence test or a sumset
+        def refused(*args):
+            raise AssertionError("general independence test called")
+
+        monkeypatch.setattr(Circulant, "is_independent_set", refused)
+        monkeypatch.setattr(_kernels, "_sumset", refused)
+        for p, e, r in GRID:
+            report = verify_theorem_q(p, e, r)
+            assert report.ok and report.independent, (p, e, r)
+            if r <= e - 2:
+                cert = gossip_certificate(build_gamma(p, e, r)[1], report.spec.h)
+                assert cert.fixed and cert.independent, (p, e, r)
+                assert cert.vertex_cut == (r >= 1), (p, e, r)
+        # <17> mod 77: F, the multiples of 7 and of 11, holds 21 and 22
+        g = Circulant(77, subgroup_of(17, 77))
+        cert = gossip_certificate(g, 17)
+        assert cert.fixed == tuple(x for x in range(1, 77) if x % 7 == 0 or x % 11 == 0)
+        assert not cert.independent and not independent_loop(77, g.conn, cert.fixed)
 
     def test_counterexample_243(self):
         report = verify_theorem_q(3, 5, 1)

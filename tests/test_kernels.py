@@ -39,17 +39,50 @@ def test_bfs_agreement():
 
 
 def test_bfs_agreement_dense_conn(dense_steps):
+    # |S| about half of the multiples of k below n.  For k > 1 the graph is
+    # disconnected, so the search ends with unreached survivors after dense
+    # levels, as a cut search does; for k = 1 it mostly reaches all of them
     rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randrange(8, 300)
-        base = rng.sample(range(1, n // 2 + 1), max(1, n // 4))  # |S| about n/2
+    for k in [1] * 60 + [2, 3] * 20:
+        n = k * rng.randrange(-(-8 // k), 300 // k)
+        base = rng.sample(range(k, n // 2 + 1, k), max(1, n // (4 * k)))
         conn = np.array(sorted({x for s in base for x in (s, n - s)}), dtype=np.int64)
         blocked = np.zeros(n, dtype=np.bool_)
         blocked[rng.sample(range(n), int(rng.choice((0, 0.1, 0.3, 0.6)) * n))] = True
         src = rng.randrange(n)
         ref = bfs_loop(n, conn, src, blocked)
-        assert np.array_equal(_kernels.bfs_distances(n, conn, src, blocked), ref), (n, src)
+        assert np.array_equal(_kernels.bfs_distances(n, conn, src, blocked), ref), (n, k, src)
     assert len(dense_steps) >= 60
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """A list that gets the name of every sparse or dense step taken."""
+    made = []
+    for name in ("_sparse_step", "_dense_step"):
+
+        def spy(*args, step=getattr(_kernels, name), name=name):
+            made.append(name)
+            return step(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    return made
+
+
+@pytest.mark.parametrize("p, e, r", [(3, 4, 0), (3, 5, 0), (5, 3, 0), (3, 5, 1), (5, 3, 2), (7, 3, 1)])
+def test_bfs_stops_once_every_survivor_is_reached(levels, p, e, r):
+    # Gamma_{q,r} - F from 0, S the residues +-1 mod p^(r+1) and F the nonzero
+    # multiples of p.  For r = 0 the search reaches every survivor and takes
+    # one step per level; for r >= 1 F is a cut, and a last step finds nothing
+    q, t = p**e, p ** (r + 1)
+    conn = np.array([x for x in range(1, q) if x % t in (1, t - 1)], dtype=np.int64)
+    blocked = np.zeros(q, dtype=np.bool_)
+    blocked[p::p] = True
+    dist = _kernels.bfs_distances(q, conn, 0, blocked)
+    assert np.array_equal(dist, bfs_loop(q, conn, 0, blocked))
+    every_survivor = int((dist >= 0).sum()) == q - int(blocked.sum())
+    assert every_survivor == (r == 0)
+    assert len(levels) == dist.max() + (not every_survivor)
 
 
 def interval_conn(n, m):

@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 from oracles import (
     face_lengths_loop,
+    gamma_fixed_points,
+    independent_loop,
     is_semiregular,
     multiplicative_order,
     orbits_loop,
@@ -20,11 +22,13 @@ from frobcirc.classifier import (
     subgroup_of,
 )
 from frobcirc.errors import Disconnected, NotARotation, NotAUnit
+from frobcirc.gamma import build_gamma
 from frobcirc.harts import tl_graph
 from frobcirc.numtheory import factorize
 from frobcirc.rotation import (
     find_all_rotations,
     gossip_certificate,
+    invariant_set_independent,
     is_complete_rotation,
     rotation_report,
 )
@@ -289,6 +293,47 @@ class TestFindAllRotations:
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
             assert c.h in find_all_rotations(Circulant(c.n, c.subgroup))
+
+
+class TestInvariantSetIndependent:
+    def test_every_rotation_with_fixed_points_below_160(self):
+        # every S that is one symmetric <w>-orbit, F the fixed points of w,
+        # against the general test and the pairwise loop
+        cases = connected = dependent = 0
+        for n in range(3, 160):
+            for w in (w for w in range(1, n) if gcd(w, n) == 1):
+                orbits, fixed, _ = orbits_loop(n, w)
+                if not fixed:
+                    continue
+                for orbit in orbits:
+                    if {-x % n for x in orbit} != set(orbit):
+                        continue
+                    g = Circulant(n, orbit)
+                    got = invariant_set_independent(g, fixed)
+                    assert got == g.is_independent_set(fixed), (n, w, orbit)
+                    assert got == independent_loop(n, g.conn, fixed), (n, w, orbit)
+                    cases += 1
+                    connected += g.is_connected()
+                    dependent += g.is_connected() and not got
+        assert (cases, connected, dependent) == (23883, 5218, 80)
+
+    def test_gamma_grid(self):
+        # the gamma-dichotomy grid, q = p^e <= 3^8, with G = S; the pairwise
+        # loop only up to q = 2500, as it takes |F|^2 steps
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            e = 3
+            while p**e <= 3**8:
+                for r in range(e):
+                    spec, g = build_gamma(p, e, r)
+                    fixed = gamma_fixed_points(spec)
+                    assert invariant_set_independent(g, fixed), (p, e, r)
+                    assert g.is_independent_set(fixed), (p, e, r)
+                    assert spec.q > 2500 or independent_loop(spec.q, g.conn, fixed), (p, e, r)
+                e += 1
+
+    def test_members_checked(self):
+        with pytest.raises(ValueError, match="outside"):
+            invariant_set_independent(TL19, [19])
 
 
 class TestGossipCertificate:
