@@ -14,8 +14,8 @@ from math import gcd
 from . import _kernels
 from .errors import DegenerateCut, Disconnected
 
-# Largest n searched, the one cap on arrays of length n and on listing F
-# (RotationReport.fixed) or q (gamma).  Fresh process, shared 2-vCPU machine:
+# Largest n searched, the one cap on arrays of length n, on F, on the rotations
+# of a disconnected graph and on q (gamma).  Fresh process, shared 2-vCPU machine:
 # `gamma 3 12 0` 0.24-0.26 s at 60 MB peak RSS, `gamma 3 13 0` 0.44-0.53 s at
 # 121 MB, `gamma 3 13 1` 0.50-0.58 s at 154 MB.  Below 2^31 (see _kernels).
 SEARCH_LIMIT = 2 * 10**6

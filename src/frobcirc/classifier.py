@@ -16,7 +16,9 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
-from .numtheory import Factorization, crt_combine, factorize, primitive_root, require_unit
+from .numtheory import Factorization, crt_combine, factorize, has_order
+from .numtheory import primitive_root, require_unit
+from .rotation import fixed_steps
 
 # Largest degree enumerated.  In a fresh process on a shared 2-vCPU machine
 # `classify 1999993`, whose K_p has d = 1,999,992, takes 3.9-4.5 s at 344 MB
@@ -157,7 +159,7 @@ def all_classes(f: Factorization) -> list[FrobeniusClass]:
 @dataclass(frozen=True)
 class FrobeniusReport:
     regular_on_s: bool  # h has order d, so H = <h> acts regularly on S = <h>
-    semiregular: bool  # gcd(h^(d/l) - 1, n) = 1 for every prime l | d
+    semiregular: bool  # no fixed point steps: gcd(h^(d/l) - 1, n) = 1 for every prime l | d
     connected: bool  # 1 is in S, so S generates Z_n
     degree_bound: bool  # d < smallest prime factor of n
     symmetric: bool  # S = -S: d is even and h^(d/2) = -1 mod n
@@ -181,14 +183,11 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
 
     H = <h> acts regularly on S = H (multiplication is transitive on a group
     and its stabilizers are trivial), and |H| = d exactly when h has order
-    d: h^d = 1 and h^(d/l) != 1 for every prime l | d (`regular_on_s`).
+    d (`regular_on_s`, `has_order`).
 
-    An element x of H fixes a nonzero residue v iff gcd(x - 1, n) > 1.  If
-    x != 1 fixes v, some power of x of prime order l fixes v, and it
-    generates the unique subgroup of order l of the cyclic group <h>, as
-    does h^(d/l); every generator of a cyclic group fixes exactly what the
-    group fixes.  So <h> is semiregular iff gcd(h^(d/l) - 1, n) = 1 for
-    every prime l | d.
+    <h> is semiregular iff no nonzero residue lies in an orbit shorter than
+    d, that is, iff h has no fixed point steps (`fixed_steps`, proved at
+    rotation.RotationReport).
 
     The group S is closed under negation iff it holds -1.  A cyclic group of
     even order d has exactly one involution, h^(d/2), and one of odd order
@@ -201,10 +200,10 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     """
     h, n, d = c.h, c.n, c.d
     require_unit(h, n)
-    gens = [pow(h, d // l, n) for l in (c.d_factors or factorize(d)).primes]
+    primes = (c.d_factors or factorize(d)).primes
     return FrobeniusReport(
-        regular_on_s=pow(h, d, n) == 1 and 1 not in gens,
-        semiregular=all(gcd(x - 1, n) == 1 for x in gens),
+        regular_on_s=has_order(h, d, n, primes),
+        semiregular=not fixed_steps(n, h, d, primes),
         connected=True,
         degree_bound=d < (c.n_factors or factorize(n)).smallest_prime,
         symmetric=d % 2 == 0 and pow(h, d // 2, n) == n - 1,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import ExponentTooSmall
-from .numtheory import factorize
-from .rotation import invariant_set_independent, rotation_report
+from .numtheory import factorize, has_order
+from .rotation import fixed_steps, invariant_set_independent
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,8 @@ class GammaReport:
 
 def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
-    evaluated even if an early one fails.  `degree_ok` is h^deg = 1 and
-    h^(deg/l) != 1 for the primes l | deg = 2p^(e-r-1); the rotation's steps
-    are read only when it holds, and `fixed_formula_ok` is False otherwise.
+    evaluated even if an early one fails.  `fixed_formula_ok` reads the
+    rotation's `fixed_steps` only when `degree_ok` (`has_order`) holds.
 
     The graph's S is the closed form, the residues congruent to +-1 mod
     t = p^(r+1), and no walk of <h> checks it.  t divides q, so those
@@ -110,15 +109,15 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     q, h, deg = spec.q, spec.h, spec.degree
     t = p ** (r + 1)
     fixed = np.arange(p, q, p, dtype=np.int64)  # F, the nonzero multiples of p, for every r
-    gens = [pow(h, deg // l, q) for l in factorize(deg).primes]
-    degree_ok = pow(h, deg, q) == 1 and 1 not in gens
+    primes = factorize(deg).primes
+    degree_ok = has_order(h, deg, q, primes)
     vertex_cut = g.is_vertex_cut(fixed)
     return GammaReport(
         spec=spec,
         degree_ok=degree_ok,
         closed_form_ok=h % t == t - 1,
         fixed_formula_ok=degree_ok
-        and rotation_report(q, h, deg).steps == ((p,) if r <= e - 2 else ()),
+        and fixed_steps(q, h, deg, primes) == ((p,) if r <= e - 2 else ()),
         independent=invariant_set_independent(g, fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),

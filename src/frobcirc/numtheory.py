@@ -1,12 +1,12 @@
 """Exact integer and modular arithmetic: factorization, the unit check,
-primitive roots, CRT.
+the order test, primitive roots, CRT.
 
 Everything here works on plain Python integers, so results are exact at any
 size.  Factorization is deterministic trial division and deliberately capped
 at 10**9; this library targets desk-scale moduli, not cryptographic ones.
 No multiplicative order is computed: each order the package uses is a
-degree its caller holds (|S| for a rotation, d for a class), checked by
-`pow` against the primes of that degree.
+degree its caller holds (|S| for a rotation, d for a class), and
+`has_order` checks it by `pow` against the primes of that degree.
 """
 
 from dataclasses import dataclass
@@ -71,6 +71,12 @@ def require_unit(a: int, m: int):
         raise NotAUnit(f"{a} is not a unit mod {m}")
 
 
+def has_order(x: int, d: int, n: int, primes) -> bool:
+    """Does x have order d mod n?  x^d = 1, and x^(d/l) != 1 for each of
+    `primes`, the distinct primes of d: a proper divisor of d divides some d/l."""
+    return pow(x, d, n) == 1 and all(pow(x, d // l, n) != 1 for l in primes)
+
+
 def primitive_root(p: int, e: int = 1) -> int:
     """Smallest generator (>= 2) of the unit group modulo p**e, p an odd prime.
 
@@ -82,11 +88,9 @@ def primitive_root(p: int, e: int = 1) -> int:
         raise ValueError(f"exponent {e} must be >= 1")
     m = p**e
     phi = p ** (e - 1) * (p - 1)
-    prime_parts = [q for q, _ in factorize(phi).factors]
+    primes = factorize(phi).primes
     for eta in range(2, m):
-        if eta % p == 0:
-            continue
-        if all(pow(eta, phi // q, m) != 1 for q in prime_parts):
+        if has_order(eta, phi, m, primes):  # false for a multiple of p
             return eta
     raise ValueError(f"no primitive root found mod {p}^{e}")  # unreachable for odd p
 

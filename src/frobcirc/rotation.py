@@ -12,18 +12,18 @@ from math import gcd
 
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import Disconnected, NotARotation
-from .numtheory import factorize, require_unit
+from .numtheory import factorize, has_order, require_unit
 
 
 @dataclass(frozen=True)
 class RotationReport:
     """The fixed point set F of a unit w of order d acting on Z_n \\ {0}.
 
-    A residue v lies in a <w>-orbit shorter than d exactly when
-    w^(d/l) v = v for some prime l | d, that is, when v is a multiple of
-    m_l = n / gcd(n, w^(d/l) - 1).  So F is the union, over the `steps`
-    m_l < n, of the arithmetic progressions range(m_l, n, m_l): at most
-    omega(d) of them, and none when every m_l = n.
+    A residue v lies in a <w>-orbit shorter than d iff its stabilizer in
+    the cyclic group <w> holds the subgroup of some prime order l | d, which
+    x = w^(d/l) generates; and x v = v mod n iff v is a multiple of
+    m_l = n / gcd(n, x - 1).  So F is the union, over the `steps` m_l < n
+    (`fixed_steps`), of the progressions range(m_l, n, m_l).
     """
 
     n: int
@@ -32,33 +32,43 @@ class RotationReport:
     steps: tuple[int, ...]  # the distinct m_l below n, ascending
 
     @cached_property
-    def fixed(self) -> tuple[int, ...]:
-        """F, ascending, listed on first use; a non-empty F above SEARCH_LIMIT is refused."""
-        if self.steps and self.n > SEARCH_LIMIT:
+    def fixed_array(self):
+        """F, ascending, as an int64 array off one mask of length n (numpy)."""
+        if self.n > SEARCH_LIMIT:
             raise ValueError(
                 f"n = {self.n} exceeds the limit {SEARCH_LIMIT} for fixed points of {self.w}"
             )
-        return tuple(sorted(set().union(*(range(m, self.n, m) for m in self.steps))))
+        import numpy as np
+
+        mask = np.zeros(self.n, dtype=np.bool_)
+        for m in self.steps:
+            mask[m::m] = True
+        return np.flatnonzero(mask)
+
+    @cached_property
+    def fixed(self) -> tuple[int, ...]:
+        """`fixed_array` as a tuple; an empty F at any n, without numpy."""
+        return tuple(self.fixed_array.tolist()) if self.steps else ()
+
+
+def fixed_steps(n: int, x: int, d: int, primes) -> tuple[int, ...]:
+    """The distinct m_l = n / gcd(n, x^(d/l) - 1) < n, l in `primes`, ascending."""
+    return tuple(sorted({n // gcd(n, pow(x, d // l, n) - 1) for l in primes} - {n}))
 
 
 def is_complete_rotation(g: Circulant, w: int) -> bool:
     """Does multiplication by w fix conn setwise and drive it in one cycle?
 
-    w is a unit, so x -> w x is injective and w S within S already means
-    w S = S.  Then w permutes S, the <w>-orbit of s0 = conn[0] is a cycle
-    inside S, and S is one orbit exactly when that cycle has length |S|:
-    the walk from s0 must not come back to s0 within |S| - 1 steps.
+    w is a unit, so x -> w x is injective, and w S within S means w S = S.
+    Then the <w>-orbit of s0 = conn[0] lies in S, and it is S iff it has
+    |S| elements.  s0 w^j = s0 mod n iff w^j = 1 mod n' = n / gcd(s0, n),
+    so that is `has_order(w, |S|, n', ...)`, with no walk of the orbit.
     """
     require_unit(w, g.n)
     n, conn = g.n, g.conn
     if not set(conn).issuperset([w * s % n for s in conn]):
         return False
-    s0 = x = conn[0]
-    for _ in range(len(conn) - 1):
-        x = x * w % n
-        if x == s0:
-            return False
-    return True
+    return has_order(w, g.degree, n // gcd(conn[0], n), factorize(g.degree).primes)
 
 
 def invariant_set_independent(g: Circulant, members) -> bool:
@@ -76,14 +86,12 @@ def invariant_set_independent(g: Circulant, members) -> bool:
 def rotation_report(n: int, w: int, d: int) -> RotationReport:
     """The steps m_l < n of the fixed points on Z_n \\ {0} of the unit w of
     order d (see RotationReport), at any n: F itself is not listed.  d is
-    the caller's, checked on the powers the steps use: ValueError unless
-    w^d = 1 and w^(d/l) != 1 for the primes l | d."""
+    the caller's, checked: ValueError unless `has_order(w, d, n, ...)`."""
     require_unit(w, n)
-    powers = [pow(w, d // ell, n) for ell in factorize(d).primes]
-    if pow(w, d, n) != 1 or 1 in powers:
+    primes = factorize(d).primes
+    if not has_order(w, d, n, primes):
         raise ValueError(f"{w} does not have order {d} mod {n}")
-    steps = {n // gcd(n, x - 1) for x in powers} - {n}
-    return RotationReport(n, w % n, d, tuple(sorted(steps)))
+    return RotationReport(n, w % n, d, fixed_steps(n, w, d, primes))
 
 
 def find_all_rotations(g: Circulant) -> list[int]:
@@ -99,6 +107,9 @@ def find_all_rotations(g: Circulant) -> list[int]:
     maps onto itself.  uT = T alone makes ord(u) divide |S|, so one element
     of T with u^(|S|/l) != 1 for the primes l | |S| is checked for uT = T,
     and the rotations are the unit lifts to Z_n of all that pass, or none.
+    The filter is `has_order` without u^|S| = 1, which uT = T implies: that
+    `pow` per element of T is saved.  With k > 1 there can be phi(n) lifts,
+    so n above SEARCH_LIMIT is then refused before they are listed.
 
     A connected circulant embeds as a balanced regular Cayley map exactly
     when this list is non-empty.  A disconnected one embeds as none (S must
@@ -116,6 +127,10 @@ def find_all_rotations(g: Circulant) -> list[int]:
     generators = [u for u in T if all(pow(u, c, m) != 1 for c in cofactors)]
     if not generators or {generators[0] * t % m for t in T} != T:
         return []
+    if k > 1 and n > SEARCH_LIMIT:
+        raise ValueError(
+            f"n = {n} exceeds the limit {SEARCH_LIMIT} for the rotations of a disconnected graph"
+        )
     return sorted(w for u in generators for w in range(u, n, m) if gcd(w, n) == 1)
 
 
@@ -144,20 +159,21 @@ def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
     for a disconnected g, NotARotation for any other w.
 
     w has order |S|.  S is one <w>-orbit, so every s in S has the same gcd
-    with n, and that gcd is 1 as S generates Z_n.  The orbit of the unit s0
-    then has the length of the order of w, and it is S.  (Cay(Z_9, {3, 6})
-    is disconnected, and its rotation 2 has order 6.)  S = s0 <w> with w
-    mapping F onto itself, so one translate decides independence
-    (`invariant_set_independent`).
+    with n, and that gcd is 1 as S generates Z_n, so `is_complete_rotation`
+    has tested the order of w mod n.  (Cay(Z_9, {3, 6}) is disconnected,
+    and its rotation 2 has order 6.)  S = s0 <w> with w mapping F onto
+    itself, so one translate decides independence
+    (`invariant_set_independent`).  Both kernels read one `fixed_array`.
     """
     if not g.is_connected():
         raise Disconnected("gossip certificate of a disconnected graph")
     if not is_complete_rotation(g, w):
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
-    rep = rotation_report(g.n, w, g.degree)
+    n, d = g.n, g.degree
+    rep = RotationReport(n, w % n, d, fixed_steps(n, w, d, factorize(d).primes))
     exact = not rep.steps
-    independent = exact or invariant_set_independent(g, rep.fixed)
-    vertex_cut = not exact and g.is_vertex_cut(rep.fixed)
+    independent = exact or invariant_set_independent(g, rep.fixed_array)
+    vertex_cut = not exact and g.is_vertex_cut(rep.fixed_array)
     return GossipCertificate(
         n=g.n,
         w=rep.w,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from frobcirc import rotation
+
 
 @pytest.fixture
 def dense_steps(monkeypatch):
@@ -29,3 +31,22 @@ def scan_passes(monkeypatch):
 
     monkeypatch.setattr(np, "any", spy)
     return sizes
+
+
+@pytest.fixture
+def report_calls(monkeypatch):
+    """Two lists that get (n, x) for each call of rotation.fixed_steps (the
+    steps read) and of rotation.has_order (the orders tested)."""
+    steps, orders = [], []
+
+    def counted_steps(n, x, d, primes, original=rotation.fixed_steps):
+        steps.append((n, x))
+        return original(n, x, d, primes)
+
+    def counted_order(x, d, n, primes, original=rotation.has_order):
+        orders.append((n, x))
+        return original(x, d, n, primes)
+
+    monkeypatch.setattr(rotation, "fixed_steps", counted_steps)
+    monkeypatch.setattr(rotation, "has_order", counted_order)
+    return steps, orders

@@ -1,0 +1,201 @@
+"""Mutation catalogue: each entry breaks one fast path or check of frobcirc
+and names the tests that must then fail.
+
+    python tests/mutants.py                    # every mutant
+    python tests/mutants.py translate_any_all  # some, by name
+
+First the named tests run on the unchanged sources, and must pass.  Then
+each mutant replaces one exact snippet, found exactly once, in a copy of
+`src/` and `tests/` in a temporary directory, and runs its tests there in a
+child process, under a timeout and an address-space limit: a mutant that
+lifts a cap can allocate without bound.  The exit status is 1 when a
+mutant survives (its tests pass), times out or cannot be applied.
+
+The file name does not start with `test_`, so pytest does not collect it.
+"""
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 300
+ADDRESS_SPACE_BYTES = 4 * 2**30
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+ROTATION = "src/frobcirc/rotation.py"
+T_ROTATION = "tests/test_rotation.py"
+
+MUTANTS = [
+    Mutant(
+        "has_order_without_power_d",
+        "src/frobcirc/numtheory.py",
+        "return pow(x, d, n) == 1 and all(",
+        "return all(",
+        ("tests/test_numtheory.py::TestHasOrder::test_every_unit_and_divisor_of_phi_below_200",),
+    ),
+    Mutant(
+        "primitive_root_modulus_p",
+        "src/frobcirc/numtheory.py",
+        "has_order(eta, phi, m, primes)",
+        "has_order(eta, phi, p, primes)",
+        ("tests/test_numtheory.py::TestPrimitiveRoot::test_generates_full_unit_group",),
+    ),
+    Mutant(
+        "complete_rotation_modulus_n",
+        ROTATION,
+        "has_order(w, g.degree, n // gcd(conn[0], n),",
+        "has_order(w, g.degree, n,",
+        (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
+    ),
+    Mutant(
+        "complete_rotation_degree_of_the_walk",
+        ROTATION,
+        "has_order(w, g.degree, n // gcd(conn[0], n),",
+        "has_order(w, g.degree - 1, n // gcd(conn[0], n),",
+        (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
+    ),
+    Mutant(
+        "report_order_unchecked",
+        ROTATION,
+        "if not has_order(w, d, n, primes):",
+        "if False:",
+        (f"{T_ROTATION}::TestRotationReport::test_order_is_checked_not_computed",),
+    ),
+    Mutant(
+        "frobenius_regular_without_power_d",
+        "src/frobcirc/classifier.py",
+        "regular_on_s=has_order(h, d, n, primes),",
+        "regular_on_s=all(pow(h, d // l, n) != 1 for l in primes),",
+        ("tests/test_classifier.py::TestVerify::test_subgroup_not_generated_by_h_fails",),
+    ),
+    Mutant(
+        "gamma_degree_modulus_q_over_p",
+        "src/frobcirc/gamma.py",
+        "has_order(h, deg, q, primes)",
+        "has_order(h, deg, q // p, primes)",
+        ("tests/test_gamma.py::TestDichotomy::test_vertex_cut_iff_r_positive",),
+    ),
+    Mutant(
+        "fixed_steps_cofactor",
+        ROTATION,
+        "{n // gcd(n, pow(x, d // l, n) - 1) for l in primes}",
+        "{gcd(n, pow(x, d // l, n) - 1) for l in primes}",
+        (f"{T_ROTATION}::TestFixedSteps::test_against_the_orbit_walk_below_120",),
+    ),
+    Mutant(
+        "fixed_points_handed_as_tuple",
+        ROTATION,
+        "invariant_set_independent(g, rep.fixed_array)",
+        "invariant_set_independent(g, rep.fixed)",
+        (f"{T_ROTATION}::TestGossipCertificate::test_fixed_points_built_and_read_once",),
+    ),
+    Mutant(
+        "translate_any_all",
+        ROTATION,
+        "[(vs + g.conn[0]) % g.n].any()",
+        "[(vs + g.conn[0]) % g.n].all()",
+        (
+            f"{T_ROTATION}::TestInvariantSetIndependent"
+            "::test_every_rotation_with_fixed_points_below_160",
+        ),
+    ),
+    Mutant(
+        "bfs_without_early_stop",
+        "src/frobcirc/_kernels.py",
+        "while frontier.size and left:",
+        "while frontier.size:",
+        ("tests/test_kernels.py::test_bfs_stops_once_every_survivor_is_reached",),
+    ),
+    Mutant(
+        "disconnected_lifts_uncapped",
+        ROTATION,
+        "if k > 1 and n > SEARCH_LIMIT:",
+        "if k > 1 and n > 10 * SEARCH_LIMIT:",
+        (f"{T_ROTATION}::TestFindAllRotations::test_lifts_of_a_disconnected_graph_are_capped",),
+    ),
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
+
+
+def run_tests(root: str, tests) -> tuple[str, float]:
+    """'passed', 'failed', 'timeout' or 'error (exit N)' for the tests run
+    in `root`, and the seconds they took."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            cmd,
+            cwd=root,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+            preexec_fn=_limit_address_space,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    verdict = {0: "passed", 1: "failed"}.get(proc.returncode, f"error (exit {proc.returncode})")
+    return verdict, time.perf_counter() - start
+
+
+def run_mutant(m: Mutant) -> tuple[str, float]:
+    with tempfile.TemporaryDirectory(prefix="frobcirc-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(
+                os.path.join(ROOT, part),
+                os.path.join(tmp, part),
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        path = os.path.join(tmp, m.path)
+        with open(path) as f:
+            text = f.read()
+        if text.count(m.snippet) != 1:
+            return f"snippet found {text.count(m.snippet)} times", 0.0
+        with open(path, "w") as f:
+            f.write(text.replace(m.snippet, m.replacement))
+        return run_tests(tmp, m.tests)
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    tests = sorted({t for m in chosen for t in m.tests})
+    verdict, seconds = run_tests(ROOT, tests)
+    print(f"unmutated: {len(tests)} test ids {verdict} ({seconds:.1f} s)")
+    if verdict != "passed":
+        return 1
+    survivors = 0
+    for m in chosen:
+        verdict, seconds = run_mutant(m)
+        killed = verdict == "failed"
+        survivors += not killed
+        label = "killed  " if killed else "SURVIVED"
+        print(f"{label} {m.name}: tests {verdict} ({seconds:.1f} s)")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,13 +3,14 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import euler_phi, multiplicative_order, ord_p
+from oracles import euler_phi, multiplicative_order, ord_p, prime_divisors
 
 from frobcirc.errors import EvenKernel
 from frobcirc.numtheory import (
     Factorization,
     crt_combine,
     factorize,
+    has_order,
     primitive_root,
 )
 
@@ -70,6 +71,27 @@ class TestMultiplicativeOrder:
         if gcd(a, m) != 1:
             return
         assert multiplicative_order(a, m) == order_by_scan(a, m)
+
+
+class TestHasOrder:
+    def test_every_unit_and_divisor_of_phi_below_200(self):
+        # the order is one of the divisors of phi(n), so each unit answers
+        # True for exactly one d; even n and n = 2 included
+        checked = 0
+        for n in range(2, 200):
+            phi = euler_phi(n)
+            divisors = [d for d in range(1, phi + 1) if phi % d == 0]
+            for x in range(1, n):
+                if gcd(x, n) != 1:
+                    continue
+                order = multiplicative_order(x, n)
+                got = [d for d in divisors if has_order(x, d, n, prime_divisors(d))]
+                assert got == [order], (x, n)
+                checked += len(divisors)
+        assert checked > 50000
+
+    def test_non_unit_has_no_order(self):
+        assert not any(has_order(6, d, 9, prime_divisors(d)) for d in (1, 2, 3, 6))
 
 
 class TestEulerPhi:

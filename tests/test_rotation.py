@@ -4,6 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import numpy as np
 from oracles import (
     face_lengths_loop,
     gamma_fixed_points,
@@ -11,6 +12,7 @@ from oracles import (
     is_semiregular,
     multiplicative_order,
     orbits_loop,
+    prime_divisors,
     rotations_loop,
 )
 
@@ -27,6 +29,7 @@ from frobcirc.harts import tl_graph
 from frobcirc.numtheory import factorize
 from frobcirc.rotation import (
     find_all_rotations,
+    fixed_steps,
     gossip_certificate,
     invariant_set_independent,
     is_complete_rotation,
@@ -34,6 +37,7 @@ from frobcirc.rotation import (
 )
 
 TL19 = tl_graph(2)
+S77 = tuple(sorted(subgroup_of(17, 77)))  # <17> mod 77: F is two progressions
 Z8_MIXED = Circulant(8, (1, 2, 6, 7))
 ORBIT_MODULI = [27, 91, 125, 169, 243]
 
@@ -198,6 +202,29 @@ class TestRotationReport:
         assert rotation_report(27, 8, 6).fixed != ()
 
 
+class TestFixedSteps:
+    def test_against_the_orbit_walk_below_120(self):
+        # even n included; the progressions of the steps are F, and each
+        # step is a proper divisor of n
+        with_steps = 0
+        for n in range(3, 120):
+            for w in (w for w in range(1, n) if gcd(w, n) == 1):
+                d = multiplicative_order(w, n)
+                steps = fixed_steps(n, w, d, prime_divisors(d))
+                assert list(steps) == sorted(set(steps)), (n, w)
+                assert all(m < n and n % m == 0 for m in steps), (n, w)
+                union = sorted({v for m in steps for v in range(m, n, m)})
+                assert tuple(union) == orbits_loop(n, w)[1], (n, w)
+                with_steps += len(steps) > 1
+        assert with_steps > 100
+
+    def test_array_and_tuple_are_one_listing(self):
+        rep = rotation_report(77, 17, 30)
+        assert rep.fixed_array.dtype == np.int64
+        assert rep.fixed == tuple(rep.fixed_array.tolist()) == orbits_loop(77, 17)[1]
+        assert rotation_report(19, 8, 6).fixed_array.size == 0
+
+
 class TestFindAllRotations:
     def test_tl19(self):
         assert find_all_rotations(TL19) == [8, 12]
@@ -290,6 +317,23 @@ class TestFindAllRotations:
             with_fixed += len(rotations) > 1 and fixed != ()
         assert with_fixed > 50
 
+    def test_lifts_of_a_disconnected_graph_are_capped(self):
+        # Cay(Z_n, {n/2}): every unit is a rotation, phi(n) of them; above
+        # SEARCH_LIMIT they are refused before any is listed
+        n = SEARCH_LIMIT + 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit 2000000 for the rotations of a disconn"):
+                find_all_rotations(Circulant(n, (n // 2,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        # connected graphs (one lift each) and graphs without rotations answer
+        assert find_all_rotations(Circulant(n + 1, (1, n))) == [n]
+        assert find_all_rotations(Circulant(n, (2, 4, n - 4, n - 2))) == []
+        assert find_all_rotations(Circulant(30, (15,))) == [1, 7, 11, 13, 17, 19, 23, 29]
+
     def test_every_constructed_class_is_rotational(self):
         for c in all_classes(factorize(91)):
             assert c.h in find_all_rotations(Circulant(c.n, c.subgroup))
@@ -372,20 +416,46 @@ class TestGossipCertificate:
         with pytest.raises(Disconnected):
             gossip_certificate(g, w)
 
-    def test_one_report_and_w_read_mod_n(self, monkeypatch):
-        calls = []
+    def test_fixed_points_built_and_read_once(self, monkeypatch):
+        # F is one int64 array, handed as it is to both kernels: no vertex
+        # set but the BFS source is read again, and the printed tuple is
+        # that array's
+        arrays, listed = [], []
 
-        def counted(n, w, d, original=rotation.rotation_report):
-            calls.append((n, w))
-            return original(n, w, d)
+        def counted(members, *args, original=np.fromiter, **kwargs):
+            members = list(members)
+            listed.append(len(members))
+            return original(members, *args, **kwargs)
 
-        monkeypatch.setattr(rotation, "rotation_report", counted)
+        def vertices(self, members, original=Circulant._vertices):
+            if isinstance(members, np.ndarray):
+                arrays.append(members)
+            return original(self, members)
+
+        monkeypatch.setattr(np, "fromiter", counted)
+        monkeypatch.setattr(Circulant, "_vertices", vertices)
+        cases = [(gamma_graph(243, 2), 2), (gamma_graph(27, 8), 8), (Circulant(77, S77), 17)]
+        for g, w in cases:
+            cert = gossip_certificate(g, w)
+            (members,) = {id(m): m for m in arrays}.values()
+            assert members.dtype == np.int64
+            assert cert.fixed == tuple(members.tolist()) == orbits_loop(g.n, w)[1]
+            assert len(arrays) == 2  # independence, then the cut's search
+            assert listed == [1]  # the search's source
+            arrays.clear()
+            listed.clear()
+
+    def test_one_report_and_w_read_mod_n(self, report_calls):
+        # one report: the steps are read once and the order tested once, by
+        # is_complete_rotation (mod n, as g is connected)
+        steps, orders = report_calls
         for g, w in [(TL19, 8), (TL19, 12), (gamma_graph(27, 2), 2), (gamma_graph(27, 8), 8)]:
             cert = gossip_certificate(g, w)
-            assert calls == [(g.n, w)]
-            assert cert.fixed == rotation_report(g.n, w, g.degree).fixed
+            assert steps == orders == [(g.n, w)]
             assert gossip_certificate(g, w + g.n) == cert
-            calls.clear()
+            assert cert.fixed == rotation_report(g.n, w, g.degree).fixed
+            steps.clear()
+            orders.clear()
 
 
 class TestPathCriterion:
