@@ -12,7 +12,6 @@ materialize-and-dedup oracle over all phi(d)^l tuples lives in the tests.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
@@ -21,8 +20,8 @@ from .numtheory import primitive_root, require_unit
 from .rotation import fixed_steps
 
 # Largest degree enumerated.  In a fresh process on a shared 2-vCPU machine
-# `classify 1999993`, whose K_p has d = 1,999,992, takes 3.9-4.5 s at 344 MB
-# peak RSS (5.2-6.0 s at 445 MB with --format json).
+# `classify 1999993`, whose K_p has d = 1,999,992, takes 3.0-4.3 s at 192 MB
+# peak RSS (4.4-7.0 s at 287 MB with --format json).
 DEGREE_LIMIT = 2 * 10**6
 
 
@@ -42,9 +41,9 @@ class FrobeniusClass:
     n_factors: Factorization | None = field(default=None, repr=False, compare=False)
     d_factors: Factorization | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @property
     def subgroup(self) -> tuple[int, ...]:
-        """S = <h> as `subgroup_of` gives it, walked on first access and kept."""
+        """S = <h> as `subgroup_of` gives it, walked on each access, not kept."""
         return subgroup_of(self.h, self.n)
 
 

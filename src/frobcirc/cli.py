@@ -6,13 +6,15 @@ Subcommands:
   gamma P E R  run the prime-power family dichotomy report
   harts K      hexagonal-mesh report and its TL isomorphism
 
-Exit codes: 0 success, 1 legitimately empty result, 2 input error.
+Exit codes: 0 success, 1 legitimately empty result, 2 input error, 141 the
+reader closed stdout.
 """
 
 import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from bisect import bisect_left
 from math import gcd
@@ -55,12 +57,12 @@ def class_record(c, oracle: bool) -> dict:
     return {
         "n": n,
         "d": c.d,
-        "m_vector": list(c.m_vector),
+        "m_vector": c.m_vector,
         "h": c.h,
         "h_signed": signed_form(c.h, n),
-        "connection_set": list(S),
+        "connection_set": S,
         # n is odd, so exactly one of s and n - s is below n / 2; S is sorted
-        "connection_pairs": list(S[: bisect_left(S, (n + 1) // 2)]),
+        "connection_pairs": S[: bisect_left(S, (n + 1) // 2)],
         "rotational": report.regular_on_s,
         "frobenius": frobenius,
         "gossip_bound": (n - 1) // c.d,
@@ -80,19 +82,19 @@ CLASS_COLUMNS = [
 ]
 
 
+SEQUENCES = (list, tuple)  # the writers print both as lists, as json.dumps does
+
+
 @functools.cache
 def _json_key(key) -> str:
     return f"    {json.dumps(key)}: "
 
 
-def _write_json(records: list[dict], out) -> None:
-    """Write json.dumps(records, indent=2) and a newline to `out`, one record
-    at a time, for flat records whose lists hold ints: each int list is
-    joined in one step, and ints and bools are written directly."""
-    if not records:
-        out.write("[]\n")
-        return
-    sep = "[\n"
+def _write_json(records, out) -> None:
+    """Write json.dumps(list(records), indent=2) and a newline to `out`, one
+    record at a time, for flat records whose lists hold ints: each int list
+    is joined in one step, and ints and bools are written directly."""
+    sep = "["
     for rec in records:
         fields = []
         for key, value in rec.items():
@@ -100,19 +102,22 @@ def _write_json(records: list[dict], out) -> None:
                 value = "true" if value else "false"
             elif type(value) is int:
                 value = str(value)
-            elif not isinstance(value, list):
+            elif not isinstance(value, SEQUENCES):
                 value = json.dumps(value)
             elif value:
                 value = "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
             else:
                 value = "[]"
             fields.append(_json_key(key) + value)
-        out.write(sep + "  {\n" + ",\n".join(fields) + "\n  }")
-        sep = ",\n"
-    out.write("\n]\n")
+        out.write(sep + "\n  {\n" + ",\n".join(fields) + "\n  }")
+        sep = ","
+    out.write("\n]\n" if sep == "," else "[]\n")
 
 
-def render_records(records: list[dict], fmt: str, out) -> None:
+def render_records(records, fmt: str, out) -> None:
+    """Write `records`, any iterable of class records, to `out` as `fmt`: JSON
+    and CSV one at a time, the table, whose widths span all rows, once every
+    row is rendered to strings."""
     if fmt == "json":
         _write_json(records, out)
         return
@@ -122,7 +127,7 @@ def render_records(records: list[dict], fmt: str, out) -> None:
         for rec in records:
             writer.writerow(
                 [
-                    ",".join(map(str, rec[col])) if isinstance(rec[col], list) else rec[col]
+                    ",".join(map(str, rec[col])) if isinstance(rec[col], SEQUENCES) else rec[col]
                     for col in CLASS_COLUMNS
                 ]
             )
@@ -131,18 +136,14 @@ def render_records(records: list[dict], fmt: str, out) -> None:
     rows = [
         [
             str(rec[col])
-            if not isinstance(rec[col], list)
+            if not isinstance(rec[col], SEQUENCES)
             else "(" + ", ".join(map(str, rec[col])) + ")"
             for col in CLASS_COLUMNS
         ]
         for rec in records
     ]
-    widths = [
-        max(len(CLASS_COLUMNS[i]), *(len(r[i]) for r in rows)) if rows else len(CLASS_COLUMNS[i])
-        for i in range(len(CLASS_COLUMNS))
-    ]
-    out.write("  ".join(c.ljust(w) for c, w in zip(CLASS_COLUMNS, widths)).rstrip() + "\n")
-    for r in rows:
+    widths = [max(map(len, column)) for column in zip(CLASS_COLUMNS, *rows)]
+    for r in [CLASS_COLUMNS, *rows]:
         out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
@@ -175,7 +176,7 @@ def cmd_classify(args, out) -> int:
                 "(pass --oracle to force)",
                 file=sys.stderr,
             )
-    render_records([class_record(c, oracle) for c in classes], args.format, out)
+    render_records((class_record(c, oracle) for c in classes), args.format, out)
     return 0
 
 
@@ -310,7 +311,14 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out or sys.stdout
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): exit as SIGPIPE would, with
+        # stdout pointed at devnull so the flush at shutdown raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:  # FrobcircError subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

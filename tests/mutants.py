@@ -8,13 +8,16 @@ First the named tests run on the unchanged sources, and must pass.  Then
 each mutant replaces one exact snippet, found exactly once, in a copy of
 `src/` and `tests/` in a temporary directory, and runs its tests there in a
 child process, under a timeout and an address-space limit: a mutant that
-lifts a cap can allocate without bound.  The exit status is 1 when a
-mutant survives (its tests pass), times out or cannot be applied.
+lifts a cap can allocate without bound.  A mutant is killed when every test
+it names fails and nothing else does.  The exit status is 1 when a mutant
+survives (its tests pass), is killed for the wrong reason (a named test
+passes, or another test or a fixture fails), times out or cannot be applied.
 
 The file name does not start with `test_`, so pytest does not collect it.
 """
 
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -34,7 +37,7 @@ class Mutant:
     path: str  # relative to the repository root
     snippet: str
     replacement: str
-    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
 
 
 ROTATION = "src/frobcirc/rotation.py"
@@ -128,6 +131,42 @@ MUTANTS = [
         "if k > 1 and n > 10 * SEARCH_LIMIT:",
         (f"{T_ROTATION}::TestFindAllRotations::test_lifts_of_a_disconnected_graph_are_capped",),
     ),
+    Mutant(
+        "mask_without_search_limit",
+        "src/frobcirc/circulant.py",
+        "self._require_search()\n        mask = np.zeros",
+        "mask = np.zeros",
+        ("tests/test_circulant.py::TestSearchLimit::test_refused_before_any_allocation",),
+    ),
+    Mutant(
+        "certificate_of_a_disconnected_graph",
+        ROTATION,
+        "if not g.is_connected():\n        raise Disconnected(\"gossip certificate",
+        "if False:\n        raise Disconnected(\"gossip certificate",
+        (f"{T_ROTATION}::TestGossipCertificate::test_disconnected_graph_raises",),
+    ),
+    Mutant(
+        "spectrum_per_dense_level",
+        "src/frobcirc/_kernels.py",
+        "spectrum = _spectrum(n, conn) if spectrum is None else spectrum",
+        "spectrum = _spectrum(n, conn)",
+        ("tests/test_gamma.py::TestDichotomy::test_one_spectrum_per_search",),
+    ),
+    Mutant(
+        "degree_limit_tenfold",
+        "src/frobcirc/classifier.py",
+        "DEGREE_LIMIT = 2 * 10**6",
+        "DEGREE_LIMIT = 2 * 10**7",
+        # the golden record pins the refusal's message, limit included
+        ("tests/test_cli.py::test_golden_output_is_byte_identical[classify 999999937]",),
+    ),
+    Mutant(
+        "subgroup_cached",
+        "src/frobcirc/classifier.py",
+        "@property\n    def subgroup(",
+        "@__import__(\"functools\").cached_property\n    def subgroup(",
+        ("tests/test_cli.py::TestStream::test_peak_is_that_of_the_largest_class",),
+    ),
 ]
 
 
@@ -135,26 +174,47 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
 
 
+def _is_run_of(node: str, test: str) -> bool:
+    """Is the reported node id `node` the test id `test`, or one of its
+    parametrized cases?"""
+    return node == test or node.startswith(test + "[")
+
+
 def run_tests(root: str, tests) -> tuple[str, float]:
-    """'passed', 'failed', 'timeout' or 'error (exit N)' for the tests run
-    in `root`, and the seconds they took."""
+    """The verdict on the tests run in `root`, and the seconds they took:
+    'passed', 'failed' (each of `tests` failed and nothing else did), 'failed
+    for the wrong reason: ...', 'timeout' or 'error (exit N)'."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     try:
         proc = subprocess.run(
             cmd,
             cwd=root,
             env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
             timeout=TIMEOUT_S,
             preexec_fn=_limit_address_space,
         )
     except subprocess.TimeoutExpired:
         return "timeout", time.perf_counter() - start
-    verdict = {0: "passed", 1: "failed"}.get(proc.returncode, f"error (exit {proc.returncode})")
-    return verdict, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if proc.returncode != 1:
+        return {0: "passed"}.get(proc.returncode, f"error (exit {proc.returncode})"), seconds
+    # the short summary: one "FAILED <node id> - <message>" or "ERROR ..." line each
+    reported = re.findall(r"^(FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE)
+    failed = [node for kind, node in reported if kind == "FAILED"]
+    wrong = [f"{t} did not fail" for t in tests if not any(_is_run_of(f, t) for f in failed)]
+    wrong += [
+        f"{kind} {node}"
+        for kind, node in reported
+        if kind == "ERROR" or not any(_is_run_of(node, t) for t in tests)
+    ]
+    if wrong:
+        return "failed for the wrong reason: " + "; ".join(wrong), seconds
+    return "failed", seconds
 
 
 def run_mutant(m: Mutant) -> tuple[str, float]:
@@ -165,6 +225,8 @@ def run_mutant(m: Mutant) -> tuple[str, float]:
                 os.path.join(tmp, part),
                 ignore=shutil.ignore_patterns("__pycache__"),
             )
+        # the same pytest configuration, so node ids read as they do in ROOT
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
         path = os.path.join(tmp, m.path)
         with open(path) as f:
             text = f.read()
@@ -186,15 +248,15 @@ def main(names) -> int:
     print(f"unmutated: {len(tests)} test ids {verdict} ({seconds:.1f} s)")
     if verdict != "passed":
         return 1
-    survivors = 0
+    missed = 0
     for m in chosen:
         verdict, seconds = run_mutant(m)
         killed = verdict == "failed"
-        survivors += not killed
-        label = "killed  " if killed else "SURVIVED"
+        missed += not killed
+        label = "killed    " if killed else "NOT KILLED"
         print(f"{label} {m.name}: tests {verdict} ({seconds:.1f} s)")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
-    return 1 if survivors else 0
+    print(f"{len(chosen) - missed} of {len(chosen)} mutants killed for the reason named")
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

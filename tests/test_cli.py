@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frobcirc
-from frobcirc import _kernels, cli, gamma
+from frobcirc import _kernels, classifier, cli, gamma
 from frobcirc.circulant import Circulant
 from frobcirc.cli import build_parser, main, signed_form
 
@@ -138,7 +139,8 @@ class TestClassify:
         assert capsys.readouterr().err == ""
 
 
-INT_LIST = st.lists(st.integers(), max_size=6)
+INTS = st.lists(st.integers(), max_size=6)
+INT_LIST = INTS | INTS.map(tuple)  # the writers print a tuple as a list, as json.dumps does
 CLASS_RECORD = st.fixed_dictionaries(
     {
         "n": st.integers(),
@@ -159,7 +161,7 @@ QUOTED = {
     "m_vector": [],
     "h": 10**40,
     "h_signed": 'a"b\\c\u00e9\u2203\U0001d4b5\n\t',
-    "connection_set": [-1, 0, 10**25],
+    "connection_set": (-1, 0, 10**25),
     "connection_pairs": [],
     "rotational": True,
     "frobenius": False,
@@ -171,9 +173,98 @@ QUOTED = {
 @example([])
 @example([QUOTED])
 def test_json_writer_matches_json_dumps(records):
-    out = io.StringIO()
-    cli.render_records(records, "json", out)
-    assert out.getvalue() == json.dumps(records, indent=2) + "\n"
+    # a list, and an iterator, which is true even when it is empty
+    for drawn in (records, iter(records)):
+        out = io.StringIO()
+        cli.render_records(drawn, "json", out)
+        assert out.getvalue() == json.dumps(records, indent=2) + "\n"
+
+
+FORMATS = ("table", "json", "csv")
+
+
+def first_record_written(text, fmt):
+    """What a streaming writer has written of `text`, the whole output in
+    `fmt`, once it has written the first record."""
+    if fmt == "json":
+        return json.dumps(json.loads(text)[:1], indent=2)[: -len("\n]")]
+    return "".join(text.splitlines(keepends=True)[:2])  # the header and one row
+
+
+class TestStream:
+    """classify holds one class at a time: each record is written before the
+    next class's S is walked, and no class keeps its S."""
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink:
+                assert main(argv, out=sink) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_peak_is_that_of_the_largest_class(self, fmt):
+        # p - 1 = 55440 has 96 even divisors, one class each; S sums to 224,640
+        # elements over all of them, against 55,440 for the largest alone
+        largest = self.traced_peak(["classify", "55441", "--degree", "55440", "--format", fmt])
+        every = self.traced_peak(["classify", "55441", "--format", fmt])
+        assert every < 1.5 * largest, (every, largest)
+
+    @staticmethod
+    def spy_walks(monkeypatch, events, fail_at=None):
+        """Log each walk of S in `events`; the walk number `fail_at` raises
+        MemoryError."""
+        walk = classifier.subgroup_of
+
+        def spy(h, n):
+            events.append(("walk", h))
+            if sum(kind == "walk" for kind, _ in events) == fail_at:
+                raise MemoryError
+            return walk(h, n)
+
+        monkeypatch.setattr(classifier, "subgroup_of", spy)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_first_record_written_before_the_second_walk(self, monkeypatch, fmt):
+        _, text = run(["classify", "91", "--format", fmt])  # three classes
+        events = []
+        self.spy_walks(monkeypatch, events)
+
+        class Out(io.StringIO):
+            def write(self, s):
+                events.append(("write", s))
+                return super().write(s)
+
+        assert main(["classify", "91", "--format", fmt], out=Out()) == 0
+        second_walk = [e for e in events if e[0] == "walk"][1]
+        before = "".join(s for kind, s in events[: events.index(second_walk)] if kind == "write")
+        assert before == first_record_written(text, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_failure_after_the_first_record(self, monkeypatch, capsys, fmt):
+        _, text = run(["classify", "91", "--format", fmt])
+        self.spy_walks(monkeypatch, [], fail_at=2)
+        code, written = run(["classify", "91", "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: allocation failed\n"
+        # the table writes nothing until every row is rendered
+        assert written == ("" if fmt == "table" else first_record_written(text, fmt))
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        argv = [sys.executable, "-m", "frobcirc.cli", "classify", "999983", "--format", "csv"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.read(100).startswith(b"n,d,m_vector")
+            proc.stdout.close()  # the 3.4 MB CSV fills the pipe long before its end
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestVerify:
