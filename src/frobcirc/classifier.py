@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
-from .numtheory import Factorization, crt_combine, factorize, has_order
+from .numtheory import Factorization, crt_combine, factorize, order_steps
 from .numtheory import primitive_root, require_unit
-from .rotation import fixed_steps
 
 # Largest degree enumerated.  In a fresh process on a shared 2-vCPU machine
 # `classify 1999993`, whose K_p has d = 1,999,992, takes 3.0-4.3 s at 192 MB
@@ -158,7 +157,7 @@ def all_classes(f: Factorization) -> list[FrobeniusClass]:
 @dataclass(frozen=True)
 class FrobeniusReport:
     regular_on_s: bool  # h has order d, so H = <h> acts regularly on S = <h>
-    semiregular: bool  # no fixed point steps: gcd(h^(d/l) - 1, n) = 1 for every prime l | d
+    semiregular: bool  # h has order d and no fixed point steps: gcd(h^(d/l) - 1, n) = 1, l | d
     connected: bool  # 1 is in S, so S generates Z_n
     degree_bound: bool  # d < smallest prime factor of n
     symmetric: bool  # S = -S: d is even and h^(d/2) = -1 mod n
@@ -166,8 +165,7 @@ class FrobeniusReport:
     @property
     def ok(self) -> bool:
         return (
-            self.regular_on_s
-            and self.semiregular
+            self.semiregular
             and self.connected
             and self.degree_bound
             and self.symmetric
@@ -182,27 +180,27 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
 
     H = <h> acts regularly on S = H (multiplication is transitive on a group
     and its stabilizers are trivial), and |H| = d exactly when h has order
-    d (`regular_on_s`, `has_order`).
+    d (`regular_on_s`: `order_steps` is not None).
 
-    <h> is semiregular iff no nonzero residue lies in an orbit shorter than
-    d, that is, iff h has no fixed point steps (`fixed_steps`, proved at
-    rotation.RotationReport).
+    <h> of order d is semiregular iff no nonzero residue lies in an orbit
+    shorter than d, that is, iff h has no fixed point steps (`semiregular`:
+    `order_steps` is (), proved at rotation.RotationReport).
 
     The group S is closed under negation iff it holds -1.  A cyclic group of
     even order d has exactly one involution, h^(d/2), and one of odd order
     has none; -1 != 1 is an involution, as n >= 3.  So S = -S iff d is even
     and h^(d/2) = -1 mod n.  S holds 1, so Cay(Z_n, S) is connected.
 
-    When h does not have order d, `regular_on_s` and `ok` are False, and
-    `semiregular` and `symmetric` are the same tests read through d, which
-    then need not describe <h>.
+    When h does not have order d, `regular_on_s`, `semiregular` and `ok`
+    are False, and `symmetric` is the same test read through d, which then
+    need not describe <h>.
     """
     h, n, d = c.h, c.n, c.d
     require_unit(h, n)
-    primes = (c.d_factors or factorize(d)).primes
+    steps = order_steps(h, d, n, (c.d_factors or factorize(d)).primes)
     return FrobeniusReport(
-        regular_on_s=has_order(h, d, n, primes),
-        semiregular=not fixed_steps(n, h, d, primes),
+        regular_on_s=steps is not None,
+        semiregular=steps == (),
         connected=True,
         degree_bound=d < (c.n_factors or factorize(n)).smallest_prime,
         symmetric=d % 2 == 0 and pow(h, d // 2, n) == n - 1,

@@ -196,6 +196,8 @@ def parse_conn(text: str, n: int) -> tuple[int, ...]:
 
 def cmd_verify(args, out) -> int:
     n = args.n
+    if n < 3:  # before parse_conn, which would blame an entry of S
+        raise ValueError(f"modulus {n} must be >= 3")
     g = Circulant(n, parse_conn(args.conn, n))
     lines = [f"graph: Cay(Z_{n}, {{{', '.join(map(str, g.conn))}}}), degree {g.degree}"]
     if not g.is_connected():

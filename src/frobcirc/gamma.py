@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import ExponentTooSmall
-from .numtheory import factorize, has_order
-from .rotation import fixed_steps, invariant_set_independent
+from .numtheory import factorize, order_steps
+from .rotation import invariant_set_independent
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class GammaReport:
     spec: GammaSpec
     degree_ok: bool  # order of h equals 2 p^(e-r-1)
     closed_form_ok: bool  # h = -1 mod p^(r+1); with degree_ok, <h> is the closed form
-    fixed_formula_ok: bool  # the rotation's steps: (p,) for r <= e-2, () at r = e-1
+    fixed_formula_ok: bool  # h has order 2 p^(e-r-1) and steps (p,) for r <= e-2, () at r = e-1
     independent: bool
     vertex_cut: bool
     dichotomy_ok: bool  # vertex_cut == (r >= 1)
@@ -73,8 +73,7 @@ class GammaReport:
     @property
     def ok(self) -> bool:
         return (
-            self.degree_ok
-            and self.closed_form_ok
+            self.closed_form_ok
             and self.fixed_formula_ok
             and self.independent
             and self.dichotomy_ok
@@ -83,8 +82,8 @@ class GammaReport:
 
 def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     """Run every structural check for one (p, e, r) instance; all checks are
-    evaluated even if an early one fails.  `fixed_formula_ok` reads the
-    rotation's `fixed_steps` only when `degree_ok` (`has_order`) holds.
+    evaluated even if an early one fails.  One `order_steps` call reads
+    `degree_ok` (not None) and `fixed_formula_ok` (its steps, so degree_ok).
 
     The graph's S is the closed form, the residues congruent to +-1 mod
     t = p^(r+1), and no walk of <h> checks it.  t divides q, so those
@@ -109,15 +108,13 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     q, h, deg = spec.q, spec.h, spec.degree
     t = p ** (r + 1)
     fixed = np.arange(p, q, p, dtype=np.int64)  # F, the nonzero multiples of p, for every r
-    primes = factorize(deg).primes
-    degree_ok = has_order(h, deg, q, primes)
+    steps = order_steps(h, deg, q, factorize(deg).primes)
     vertex_cut = g.is_vertex_cut(fixed)
     return GammaReport(
         spec=spec,
-        degree_ok=degree_ok,
+        degree_ok=steps is not None,
         closed_form_ok=h % t == t - 1,
-        fixed_formula_ok=degree_ok
-        and fixed_steps(q, h, deg, primes) == ((p,) if r <= e - 2 else ()),
+        fixed_formula_ok=steps == ((p,) if r <= e - 2 else ()),
         independent=invariant_set_independent(g, fixed),
         vertex_cut=vertex_cut,
         dichotomy_ok=vertex_cut == (r >= 1),

@@ -1,12 +1,13 @@
 """Exact integer and modular arithmetic: factorization, the unit check,
-the order test, primitive roots, CRT.
+the order test with the fixed point steps, primitive roots, CRT.
 
 Everything here works on plain Python integers, so results are exact at any
 size.  Factorization is deterministic trial division and deliberately capped
 at 10**9; this library targets desk-scale moduli, not cryptographic ones.
 No multiplicative order is computed: each order the package uses is a
 degree its caller holds (|S| for a rotation, d for a class), and
-`has_order` checks it by `pow` against the primes of that degree.
+`order_steps` checks it by `pow` against the primes of that degree, and
+reads a rotation's fixed point steps off the same powers.
 """
 
 from dataclasses import dataclass
@@ -71,10 +72,15 @@ def require_unit(a: int, m: int):
         raise NotAUnit(f"{a} is not a unit mod {m}")
 
 
-def has_order(x: int, d: int, n: int, primes) -> bool:
-    """Does x have order d mod n?  x^d = 1, and x^(d/l) != 1 for each of
-    `primes`, the distinct primes of d: a proper divisor of d divides some d/l."""
-    return pow(x, d, n) == 1 and all(pow(x, d // l, n) != 1 for l in primes)
+def order_steps(x: int, d: int, n: int, primes) -> tuple[int, ...] | None:
+    """None unless x has order d mod n, else the distinct m_l < n, ascending, of
+    m_l = n / gcd(n, x^(d/l) - 1), l in `primes`, the primes of d: the fixed point
+    steps (rotation.RotationReport).  m_l = 1 iff x^(d/l) = 1, so x has order d
+    iff x^d = 1 and no m_l is 1, as a proper divisor of d divides some d/l."""
+    if pow(x, d, n) != 1:
+        return None
+    steps = {n // gcd(n, pow(x, d // l, n) - 1) for l in primes}
+    return None if 1 in steps else tuple(sorted(steps - {n}))
 
 
 def primitive_root(p: int, e: int = 1) -> int:
@@ -90,7 +96,7 @@ def primitive_root(p: int, e: int = 1) -> int:
     phi = p ** (e - 1) * (p - 1)
     primes = factorize(phi).primes
     for eta in range(2, m):
-        if has_order(eta, phi, m, primes):  # false for a multiple of p
+        if order_steps(eta, phi, m, primes) is not None:  # None for a multiple of p
             return eta
     raise ValueError(f"no primitive root found mod {p}^{e}")  # unreachable for odd p
 

@@ -12,7 +12,7 @@ from math import gcd
 
 from .circulant import SEARCH_LIMIT, Circulant
 from .errors import Disconnected, NotARotation
-from .numtheory import factorize, has_order, require_unit
+from .numtheory import factorize, order_steps, require_unit
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class RotationReport:
     the cyclic group <w> holds the subgroup of some prime order l | d, which
     x = w^(d/l) generates; and x v = v mod n iff v is a multiple of
     m_l = n / gcd(n, x - 1).  So F is the union, over the `steps` m_l < n
-    (`fixed_steps`), of the progressions range(m_l, n, m_l).
+    (`numtheory.order_steps`), of the progressions range(m_l, n, m_l).
     """
 
     n: int
@@ -51,9 +51,13 @@ class RotationReport:
         return tuple(self.fixed_array.tolist()) if self.steps else ()
 
 
-def fixed_steps(n: int, x: int, d: int, primes) -> tuple[int, ...]:
-    """The distinct m_l = n / gcd(n, x^(d/l) - 1) < n, l in `primes`, ascending."""
-    return tuple(sorted({n // gcd(n, pow(x, d // l, n) - 1) for l in primes} - {n}))
+def _rotation_steps(g: Circulant, w: int) -> tuple[int, ...] | None:
+    """`order_steps` of w, |S| and n / gcd(conn[0], n) if w S = S, else None."""
+    require_unit(w, g.n)
+    n, conn = g.n, g.conn
+    if not set(conn).issuperset([w * s % n for s in conn]):
+        return None
+    return order_steps(w, g.degree, n // gcd(conn[0], n), factorize(g.degree).primes)
 
 
 def is_complete_rotation(g: Circulant, w: int) -> bool:
@@ -62,13 +66,8 @@ def is_complete_rotation(g: Circulant, w: int) -> bool:
     w is a unit, so x -> w x is injective, and w S within S means w S = S.
     Then the <w>-orbit of s0 = conn[0] lies in S, and it is S iff it has
     |S| elements.  s0 w^j = s0 mod n iff w^j = 1 mod n' = n / gcd(s0, n),
-    so that is `has_order(w, |S|, n', ...)`, with no walk of the orbit.
-    """
-    require_unit(w, g.n)
-    n, conn = g.n, g.conn
-    if not set(conn).issuperset([w * s % n for s in conn]):
-        return False
-    return has_order(w, g.degree, n // gcd(conn[0], n), factorize(g.degree).primes)
+    so that is the order of w mod n' (`_rotation_steps`), with no walk."""
+    return _rotation_steps(g, w) is not None
 
 
 def invariant_set_independent(g: Circulant, members) -> bool:
@@ -86,12 +85,12 @@ def invariant_set_independent(g: Circulant, members) -> bool:
 def rotation_report(n: int, w: int, d: int) -> RotationReport:
     """The steps m_l < n of the fixed points on Z_n \\ {0} of the unit w of
     order d (see RotationReport), at any n: F itself is not listed.  d is
-    the caller's, checked: ValueError unless `has_order(w, d, n, ...)`."""
+    the caller's, checked: ValueError unless w has order d (`order_steps`)."""
     require_unit(w, n)
-    primes = factorize(d).primes
-    if not has_order(w, d, n, primes):
+    steps = order_steps(w, d, n, factorize(d).primes)
+    if steps is None:
         raise ValueError(f"{w} does not have order {d} mod {n}")
-    return RotationReport(n, w % n, d, fixed_steps(n, w, d, primes))
+    return RotationReport(n, w % n, d, steps)
 
 
 def find_all_rotations(g: Circulant) -> list[int]:
@@ -107,9 +106,9 @@ def find_all_rotations(g: Circulant) -> list[int]:
     maps onto itself.  uT = T alone makes ord(u) divide |S|, so one element
     of T with u^(|S|/l) != 1 for the primes l | |S| is checked for uT = T,
     and the rotations are the unit lifts to Z_n of all that pass, or none.
-    The filter is `has_order` without u^|S| = 1, which uT = T implies: that
-    `pow` per element of T is saved.  With k > 1 there can be phi(n) lifts,
-    so n above SEARCH_LIMIT is then refused before they are listed.
+    The filter is the order test of `order_steps` without u^|S| = 1, which
+    uT = T implies: that `pow` per element of T is saved.  With k > 1 there
+    can be phi(n) lifts, so n above SEARCH_LIMIT is refused before listing.
 
     A connected circulant embeds as a balanced regular Cayley map exactly
     when this list is non-empty.  A disconnected one embeds as none (S must
@@ -156,21 +155,21 @@ class GossipCertificate:
 
 def gossip_certificate(g: Circulant, w: int) -> GossipCertificate:
     """Certificate for the complete rotation w of a connected g; Disconnected
-    for a disconnected g, NotARotation for any other w.
+    for a disconnected g, NotAUnit for a non-unit w, NotARotation otherwise.
 
     w has order |S|.  S is one <w>-orbit, so every s in S has the same gcd
-    with n, and that gcd is 1 as S generates Z_n, so `is_complete_rotation`
-    has tested the order of w mod n.  (Cay(Z_9, {3, 6}) is disconnected,
-    and its rotation 2 has order 6.)  S = s0 <w> with w mapping F onto
-    itself, so one translate decides independence
+    with n, and that gcd is 1 as S generates Z_n, so `_rotation_steps` has
+    read the order and the steps of w mod n.  (Cay(Z_9, {3, 6}) is
+    disconnected, and its rotation 2 has order 6.)  S = s0 <w> with w
+    mapping F onto itself, so one translate decides independence
     (`invariant_set_independent`).  Both kernels read one `fixed_array`.
     """
     if not g.is_connected():
         raise Disconnected("gossip certificate of a disconnected graph")
-    if not is_complete_rotation(g, w):
+    steps = _rotation_steps(g, w)
+    if steps is None:
         raise NotARotation(f"{w} is not a complete rotation of Cay(Z_{g.n}, S)")
-    n, d = g.n, g.degree
-    rep = RotationReport(n, w % n, d, fixed_steps(n, w, d, factorize(d).primes))
+    rep = RotationReport(g.n, w % g.n, g.degree, steps)
     exact = not rep.steps
     independent = exact or invariant_set_independent(g, rep.fixed_array)
     vertex_cut = not exact and g.is_vertex_cut(rep.fixed_array)

@@ -35,18 +35,13 @@ def scan_passes(monkeypatch):
 
 @pytest.fixture
 def report_calls(monkeypatch):
-    """Two lists that get (n, x) for each call of rotation.fixed_steps (the
-    steps read) and of rotation.has_order (the orders tested)."""
-    steps, orders = [], []
+    """A list that gets (n, x) for each call of rotation.order_steps, which
+    tests an order and reads the fixed point steps in one pass."""
+    calls = []
 
-    def counted_steps(n, x, d, primes, original=rotation.fixed_steps):
-        steps.append((n, x))
-        return original(n, x, d, primes)
-
-    def counted_order(x, d, n, primes, original=rotation.has_order):
-        orders.append((n, x))
+    def counted(x, d, n, primes, original=rotation.order_steps):
+        calls.append((n, x))
         return original(x, d, n, primes)
 
-    monkeypatch.setattr(rotation, "fixed_steps", counted_steps)
-    monkeypatch.setattr(rotation, "has_order", counted_order)
-    return steps, orders
+    monkeypatch.setattr(rotation, "order_steps", counted)
+    return calls

@@ -40,65 +40,96 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, each of which must fail
 
 
+NUMTHEORY = "src/frobcirc/numtheory.py"
 ROTATION = "src/frobcirc/rotation.py"
+CLASSIFIER = "src/frobcirc/classifier.py"
 T_ROTATION = "tests/test_rotation.py"
+HAS_ORDER = "tests/test_numtheory.py::TestHasOrder::test_every_unit_and_divisor_of_phi_below_200"
+ORBIT_WALK = T_ROTATION + "::TestFixedSteps::test_against_the_orbit_walk_below_120"
 
 MUTANTS = [
     Mutant(
-        "has_order_without_power_d",
-        "src/frobcirc/numtheory.py",
-        "return pow(x, d, n) == 1 and all(",
-        "return all(",
-        ("tests/test_numtheory.py::TestHasOrder::test_every_unit_and_divisor_of_phi_below_200",),
+        "order_steps_without_power_d",
+        NUMTHEORY,
+        "if pow(x, d, n) != 1:\n        return None",
+        "if False:\n        return None",
+        (HAS_ORDER,),
+    ),
+    Mutant(
+        "order_steps_without_order_check",
+        NUMTHEORY,
+        "return None if 1 in steps else tuple(",
+        "return tuple(",
+        (HAS_ORDER,),
+    ),
+    Mutant(
+        "order_steps_cofactor",
+        NUMTHEORY,
+        "{n // gcd(n, pow(x, d // l, n) - 1) for l in primes}",
+        "{gcd(n, pow(x, d // l, n) - 1) for l in primes}",
+        (HAS_ORDER, ORBIT_WALK),
     ),
     Mutant(
         "primitive_root_modulus_p",
-        "src/frobcirc/numtheory.py",
-        "has_order(eta, phi, m, primes)",
-        "has_order(eta, phi, p, primes)",
+        NUMTHEORY,
+        "order_steps(eta, phi, m, primes)",
+        "order_steps(eta, phi, p, primes)",
         ("tests/test_numtheory.py::TestPrimitiveRoot::test_generates_full_unit_group",),
     ),
     Mutant(
         "complete_rotation_modulus_n",
         ROTATION,
-        "has_order(w, g.degree, n // gcd(conn[0], n),",
-        "has_order(w, g.degree, n,",
+        "order_steps(w, g.degree, n // gcd(conn[0], n),",
+        "order_steps(w, g.degree, n,",
         (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
     ),
     Mutant(
         "complete_rotation_degree_of_the_walk",
         ROTATION,
-        "has_order(w, g.degree, n // gcd(conn[0], n),",
-        "has_order(w, g.degree - 1, n // gcd(conn[0], n),",
+        "order_steps(w, g.degree, n // gcd(conn[0], n),",
+        "order_steps(w, g.degree - 1, n // gcd(conn[0], n),",
         (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
+    ),
+    Mutant(
+        # the certificate reads its steps mod n again instead of taking the
+        # rotation check's, read mod n / gcd(s0, n): a second order test
+        # and a third factorization of |S| per verify query
+        "certificate_steps_recomputed_mod_n",
+        ROTATION,
+        "rep = RotationReport(g.n, w % g.n, g.degree, steps)",
+        "rep = rotation_report(g.n, w, g.degree)",
+        (
+            f"{T_ROTATION}::TestGossipCertificate::test_one_report_and_w_read_mod_n",
+            "tests/test_cli.py::TestVerify::test_degree_factored_at_most_twice",
+        ),
     ),
     Mutant(
         "report_order_unchecked",
         ROTATION,
-        "if not has_order(w, d, n, primes):",
-        "if False:",
+        "if steps is None:\n        raise ValueError(",
+        "if False:\n        raise ValueError(",
         (f"{T_ROTATION}::TestRotationReport::test_order_is_checked_not_computed",),
     ),
     Mutant(
         "frobenius_regular_without_power_d",
-        "src/frobcirc/classifier.py",
-        "regular_on_s=has_order(h, d, n, primes),",
-        "regular_on_s=all(pow(h, d // l, n) != 1 for l in primes),",
+        CLASSIFIER,
+        "regular_on_s=steps is not None,",
+        "regular_on_s=all(pow(h, d // l, n) != 1 for l in factorize(d).primes),",
+        ("tests/test_classifier.py::TestVerify::test_subgroup_not_generated_by_h_fails",),
+    ),
+    Mutant(
+        "frobenius_semiregular_read_through_d",
+        CLASSIFIER,
+        "semiregular=steps == (),",
+        "semiregular=not steps,",
         ("tests/test_classifier.py::TestVerify::test_subgroup_not_generated_by_h_fails",),
     ),
     Mutant(
         "gamma_degree_modulus_q_over_p",
         "src/frobcirc/gamma.py",
-        "has_order(h, deg, q, primes)",
-        "has_order(h, deg, q // p, primes)",
+        "order_steps(h, deg, q, factorize(deg).primes)",
+        "order_steps(h, deg, q // p, factorize(deg).primes)",
         ("tests/test_gamma.py::TestDichotomy::test_vertex_cut_iff_r_positive",),
-    ),
-    Mutant(
-        "fixed_steps_cofactor",
-        ROTATION,
-        "{n // gcd(n, pow(x, d // l, n) - 1) for l in primes}",
-        "{gcd(n, pow(x, d // l, n) - 1) for l in primes}",
-        (f"{T_ROTATION}::TestFixedSteps::test_against_the_orbit_walk_below_120",),
     ),
     Mutant(
         "fixed_points_handed_as_tuple",
@@ -154,7 +185,7 @@ MUTANTS = [
     ),
     Mutant(
         "degree_limit_tenfold",
-        "src/frobcirc/classifier.py",
+        CLASSIFIER,
         "DEGREE_LIMIT = 2 * 10**6",
         "DEGREE_LIMIT = 2 * 10**7",
         # the golden record pins the refusal's message, limit included
@@ -162,7 +193,7 @@ MUTANTS = [
     ),
     Mutant(
         "subgroup_cached",
-        "src/frobcirc/classifier.py",
+        CLASSIFIER,
         "@property\n    def subgroup(",
         "@__import__(\"functools\").cached_property\n    def subgroup(",
         ("tests/test_cli.py::TestStream::test_peak_is_that_of_the_largest_class",),

@@ -234,10 +234,13 @@ class TestVerify:
         assert not report.ok
 
     def test_subgroup_not_generated_by_h_fails(self):
-        # d is not the order of h: 4 has order 6 mod 13, 5 has order 4
+        # d is not the order of h: 4 has order 6 mod 13, 5 has order 4.  Nor
+        # is <h> read as semiregular: at (6, 5) neither 5^3 nor 5^2 is 1, so
+        # the steps read through d = 6 would be empty
         for d, h in [(12, 4), (6, 5), (4, 4)]:
             report = verify_first_kind_frobenius(FrobeniusClass(13, d, h, (1,)))
             assert not report.regular_on_s, (d, h)
+            assert report.semiregular is False, (d, h)
             assert not report.ok, (d, h)
             assert report.connected and report.degree_bound, (d, h)
 

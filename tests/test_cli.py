@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frobcirc
-from frobcirc import _kernels, classifier, cli, gamma
+from frobcirc import _kernels, classifier, cli, gamma, rotation
 from frobcirc.circulant import Circulant
 from frobcirc.cli import build_parser, main, signed_form
 
@@ -295,6 +295,13 @@ class TestVerify:
         code, _ = run(["verify", "19", "1,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5", "2"])
+    def test_modulus_refused_before_the_set(self, capsys, n):
+        # the modulus is named, not an entry of S that no modulus below 3 admits
+        code, _ = run(["verify", n, "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: modulus {n} must be >= 3\n"
+
     @pytest.mark.parametrize(
         "argv, reported",
         [
@@ -303,12 +310,28 @@ class TestVerify:
         ],
     )
     def test_each_rotation_reported_once(self, report_calls, argv, reported):
-        # the rotation's steps are read once, and its order is tested once:
-        # by is_complete_rotation, which the certificate does not repeat
+        # one order_steps call per query, the certificate's: it tests the
+        # order of the rotation and reads its steps (find_all_rotations
+        # filters T by its own cofactor powers)
         code, _ = run(argv)
         assert code == 0
-        steps, orders = report_calls
-        assert steps == orders == reported
+        assert report_calls == reported
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "19", "1,7,8,11,12,18"], ["verify", "27", "1,8,10,17,19,26"]]
+    )
+    def test_degree_factored_at_most_twice(self, monkeypatch, argv):
+        # once by find_all_rotations, once by the certificate's rotation check
+        factored = []
+
+        def counted(n, original=rotation.factorize):
+            factored.append(n)
+            return original(n)
+
+        monkeypatch.setattr(rotation, "factorize", counted)
+        code, _ = run(argv)
+        assert code == 0
+        assert len(factored) <= 2
 
 
 class TestGamma:

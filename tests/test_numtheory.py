@@ -10,7 +10,7 @@ from frobcirc.numtheory import (
     Factorization,
     crt_combine,
     factorize,
-    has_order,
+    order_steps,
     primitive_root,
 )
 
@@ -75,8 +75,9 @@ class TestMultiplicativeOrder:
 
 class TestHasOrder:
     def test_every_unit_and_divisor_of_phi_below_200(self):
-        # the order is one of the divisors of phi(n), so each unit answers
-        # True for exactly one d; even n and n = 2 included
+        # order_steps is None unless d is the order of x: the order is one of
+        # the divisors of phi(n), so each unit has steps for exactly one d;
+        # even n and n = 2 included
         checked = 0
         for n in range(2, 200):
             phi = euler_phi(n)
@@ -85,13 +86,13 @@ class TestHasOrder:
                 if gcd(x, n) != 1:
                     continue
                 order = multiplicative_order(x, n)
-                got = [d for d in divisors if has_order(x, d, n, prime_divisors(d))]
+                got = [d for d in divisors if order_steps(x, d, n, prime_divisors(d)) is not None]
                 assert got == [order], (x, n)
                 checked += len(divisors)
         assert checked > 50000
 
     def test_non_unit_has_no_order(self):
-        assert not any(has_order(6, d, 9, prime_divisors(d)) for d in (1, 2, 3, 6))
+        assert all(order_steps(6, d, 9, prime_divisors(d)) is None for d in (1, 2, 3, 6))
 
 
 class TestEulerPhi:

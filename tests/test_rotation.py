@@ -26,10 +26,9 @@ from frobcirc.classifier import (
 from frobcirc.errors import Disconnected, NotARotation, NotAUnit
 from frobcirc.gamma import build_gamma
 from frobcirc.harts import tl_graph
-from frobcirc.numtheory import factorize
+from frobcirc.numtheory import factorize, order_steps
 from frobcirc.rotation import (
     find_all_rotations,
-    fixed_steps,
     gossip_certificate,
     invariant_set_independent,
     is_complete_rotation,
@@ -204,13 +203,13 @@ class TestRotationReport:
 
 class TestFixedSteps:
     def test_against_the_orbit_walk_below_120(self):
-        # even n included; the progressions of the steps are F, and each
-        # step is a proper divisor of n
+        # the steps order_steps reads at the order of w: even n included; the
+        # progressions of the steps are F, and each step is a proper divisor of n
         with_steps = 0
         for n in range(3, 120):
             for w in (w for w in range(1, n) if gcd(w, n) == 1):
                 d = multiplicative_order(w, n)
-                steps = fixed_steps(n, w, d, prime_divisors(d))
+                steps = order_steps(w, d, n, prime_divisors(d))
                 assert list(steps) == sorted(set(steps)), (n, w)
                 assert all(m < n and n % m == 0 for m in steps), (n, w)
                 union = sorted({v for m in steps for v in range(m, n, m)})
@@ -403,6 +402,10 @@ class TestGossipCertificate:
     def test_not_a_rotation(self):
         with pytest.raises(NotARotation):
             gossip_certificate(TL19, 2)
+        # a non-unit is refused as such, not as a unit that fails the check
+        for w in (0, 19, 38):
+            with pytest.raises(NotAUnit):
+                gossip_certificate(TL19, w)
 
     @pytest.mark.parametrize(
         "n,conn,w", [(9, (3, 6), 8), (15, (5, 10), 14), (4, (2,), 1)], ids=["Z9", "Z15", "Z4"]
@@ -446,16 +449,14 @@ class TestGossipCertificate:
             listed.clear()
 
     def test_one_report_and_w_read_mod_n(self, report_calls):
-        # one report: the steps are read once and the order tested once, by
-        # is_complete_rotation (mod n, as g is connected)
-        steps, orders = report_calls
+        # one order_steps call tests the order of w and reads its steps, in
+        # the rotation check (mod n, as g is connected)
         for g, w in [(TL19, 8), (TL19, 12), (gamma_graph(27, 2), 2), (gamma_graph(27, 8), 8)]:
             cert = gossip_certificate(g, w)
-            assert steps == orders == [(g.n, w)]
+            assert report_calls == [(g.n, w)]
             assert gossip_certificate(g, w + g.n) == cert
             assert cert.fixed == rotation_report(g.n, w, g.degree).fixed
-            steps.clear()
-            orders.clear()
+            report_calls.clear()
 
 
 class TestPathCriterion:
