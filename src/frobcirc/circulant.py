@@ -110,12 +110,14 @@ class Circulant:
     is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
 
     def is_independent_set(self, members) -> bool:
-        """No two members adjacent: (F + conn) and F are disjoint for the
-        member set F, at any F.  Members must be vertices in [0, n).  When
-        S = s0 G for a group G of units that maps F onto itself,
-        `rotation.invariant_set_independent` answers with one translate."""
+        """No two members adjacent: no vertex of the member set F lies in
+        F + conn, at any F, by one kernel step kept to the mask of F.
+        Members must be vertices in [0, n).  When S = s0 G for a group G of
+        units that maps F onto itself, `rotation.invariant_set_independent`
+        answers with one translate."""
         vs = self._vertices(members)
-        return not self._mask(vs)[_kernels._sumset(self.n, self._conn_arr, vs)].any()
+        mask = self._mask(vs)  # before _conn_arr: the search limit refuses first
+        return not _kernels._step(self.n, self._conn_arr, vs, mask)[0].size
 
     def is_vertex_cut(self, members) -> bool:
         """Does removing `members` disconnect the graph?  Requires a connected

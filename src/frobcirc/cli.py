@@ -85,15 +85,12 @@ CLASS_COLUMNS = [
 SEQUENCES = (list, tuple)  # the writers print both as lists, as json.dumps does
 
 
-@functools.cache
-def _json_key(key) -> str:
-    return f"    {json.dumps(key)}: "
-
-
 def _write_json(records, out) -> None:
     """Write json.dumps(list(records), indent=2) and a newline to `out`, one
     record at a time, for flat records whose lists hold ints: each int list
-    is joined in one step, and ints and bools are written directly."""
+    is joined in one step, and ints and bools are written directly.  The
+    keys, CLASS_COLUMNS and connection_set, are plain ASCII names, which
+    json.dumps quotes as they are."""
     sep = "["
     for rec in records:
         fields = []
@@ -108,7 +105,7 @@ def _write_json(records, out) -> None:
                 value = "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
             else:
                 value = "[]"
-            fields.append(_json_key(key) + value)
+            fields.append(f'    "{key}": ' + value)
         out.write(sep + "\n  {\n" + ",\n".join(fields) + "\n  }")
         sep = ","
     out.write("\n]\n" if sep == "," else "[]\n")

@@ -27,7 +27,7 @@ class GammaSpec:
 
 
 def _validate(p: int, e: int, r: int):
-    if p < 3 or factorize(p).factors != ((p, 1),):
+    if p < 3:
         raise ValueError(f"p = {p} must be an odd prime")
     if e < 3:
         raise ExponentTooSmall(f"e = {e}; the family needs e >= 3")
@@ -38,6 +38,8 @@ def _validate(p: int, e: int, r: int):
         q *= p
         if q > SEARCH_LIMIT:  # the report searches Gamma - F
             raise ValueError(f"q = {p}^{e} exceeds the supported limit {SEARCH_LIMIT}")
+    if factorize(p).factors != ((p, 1),):  # last, once q <= SEARCH_LIMIT bounds p <= 125
+        raise ValueError(f"p = {p} must be an odd prime")
 
 
 def build_gamma(p: int, e: int, r: int) -> tuple[GammaSpec, Circulant]:

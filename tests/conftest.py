@@ -6,7 +6,7 @@ from frobcirc import rotation
 
 @pytest.fixture
 def dense_steps(monkeypatch):
-    """A list that gets one entry per dense (FFT) step of _kernels._sumset."""
+    """A list that gets one entry per dense (FFT) step of _kernels._step."""
     steps = []
     irfft = np.fft.irfft
 

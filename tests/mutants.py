@@ -43,7 +43,9 @@ class Mutant:
 NUMTHEORY = "src/frobcirc/numtheory.py"
 ROTATION = "src/frobcirc/rotation.py"
 CLASSIFIER = "src/frobcirc/classifier.py"
+KERNELS = "src/frobcirc/_kernels.py"
 T_ROTATION = "tests/test_rotation.py"
+T_KERNELS = "tests/test_kernels.py"
 HAS_ORDER = "tests/test_numtheory.py::TestHasOrder::test_every_unit_and_divisor_of_phi_below_200"
 ORBIT_WALK = T_ROTATION + "::TestFixedSteps::test_against_the_orbit_walk_below_120"
 
@@ -150,10 +152,10 @@ MUTANTS = [
     ),
     Mutant(
         "bfs_without_early_stop",
-        "src/frobcirc/_kernels.py",
+        KERNELS,
         "while frontier.size and left:",
         "while frontier.size:",
-        ("tests/test_kernels.py::test_bfs_stops_once_every_survivor_is_reached",),
+        (T_KERNELS + "::test_bfs_stops_once_every_survivor_is_reached",),
     ),
     Mutant(
         "disconnected_lifts_uncapped",
@@ -178,10 +180,35 @@ MUTANTS = [
     ),
     Mutant(
         "spectrum_per_dense_level",
-        "src/frobcirc/_kernels.py",
-        "spectrum = _spectrum(n, conn) if spectrum is None else spectrum",
-        "spectrum = _spectrum(n, conn)",
+        KERNELS,
+        "if spectrum is None:",
+        "if True:",
         ("tests/test_gamma.py::TestDichotomy::test_one_spectrum_per_search",),
+    ),
+    Mutant(
+        "sparse_step_keeps_every_sum",
+        KERNELS,
+        "sums = sums[keep[sums]]",
+        "sums = sums",
+        (T_KERNELS + "::test_step_keeps_a_proper_subset", T_KERNELS + "::test_bfs_agreement"),
+    ),
+    Mutant(
+        "switch_strict",
+        KERNELS,
+        "members.size * conn.size <= DENSE_RATIO * n",
+        "members.size * conn.size < DENSE_RATIO * n",
+        (T_KERNELS + "::test_sumset_switch", T_KERNELS + "::test_bfs_switch"),
+    ),
+    Mutant(
+        # every vertex of F + S kept, so any nonempty F reads as not independent
+        "independence_keeps_every_vertex",
+        "src/frobcirc/circulant.py",
+        "_step(self.n, self._conn_arr, vs, mask)",
+        "_step(self.n, self._conn_arr, vs, mask | True)",
+        (
+            "tests/test_circulant.py::TestIndependentSet::test_fixed_points_of_gamma_27_0",
+            "tests/test_circulant.py::TestIndependentSet::test_gamma_multiples_of_p",
+        ),
     ),
     Mutant(
         "degree_limit_tenfold",

@@ -389,6 +389,28 @@ class TestGamma:
         assert text == ""
         assert "odd prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["gamma", "1000000007", "3", "0"],
+                "q = 1000000007^3 exceeds the supported limit 2000000",
+            ),
+            (["gamma", "1000000007", "1", "0"], "e = 1; the family needs e >= 3"),
+        ],
+    )
+    def test_large_p_refused_before_factoring(self, monkeypatch, capsys, argv, message):
+        # p is factored last, once q <= SEARCH_LIMIT bounds it: a large p is
+        # refused for its e or its q, not for the factoring cap
+        def refused(*args):
+            raise AssertionError("p factored")
+
+        monkeypatch.setattr(gamma, "factorize", refused)
+        code, text = run(argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestHarts:
     def test_k3(self):

@@ -199,12 +199,11 @@ class TestDichotomy:
 
     def test_independence_by_one_translate(self, monkeypatch):
         # neither the report nor the gossip certificate runs the general
-        # independence test or a sumset
+        # independence test
         def refused(*args):
             raise AssertionError("general independence test called")
 
         monkeypatch.setattr(Circulant, "is_independent_set", refused)
-        monkeypatch.setattr(_kernels, "_sumset", refused)
         for p, e, r in GRID:
             report = verify_theorem_q(p, e, r)
             assert report.ok and report.independent, (p, e, r)

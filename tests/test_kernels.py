@@ -57,15 +57,14 @@ def test_bfs_agreement_dense_conn(dense_steps):
 
 @pytest.fixture
 def levels(monkeypatch):
-    """A list that gets the name of every sparse or dense step taken."""
+    """A list that gets the size of X at every step taken, one per BFS level."""
     made = []
-    for name in ("_sparse_step", "_dense_step"):
 
-        def spy(*args, step=getattr(_kernels, name), name=name):
-            made.append(name)
-            return step(*args)
+    def spy(n, conn, members, *args, step=_kernels._step):
+        made.append(members.size)
+        return step(n, conn, members, *args)
 
-        monkeypatch.setattr(_kernels, name, spy)
+    monkeypatch.setattr(_kernels, "_step", spy)
     return made
 
 
@@ -89,6 +88,12 @@ def interval_conn(n, m):
     return np.array(sorted({x % n for s in range(1, m + 1) for x in (s, -s)}), dtype=np.int64)
 
 
+def sumset(n, conn, members):
+    """X + S mod n by one step that keeps every vertex."""
+    got, _ = _kernels._step(n, conn, members, np.ones(n, dtype=np.bool_))
+    return got
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_sumset_switch(dense_steps, extra):
     # |S| = 20 and |X| = 20, so |X| |S| = 400 against DENSE_RATIO * n = 400 + 4 extra
@@ -97,8 +102,26 @@ def test_sumset_switch(dense_steps, extra):
     conn = interval_conn(n, 10)
     rng = random.Random(n)
     members = np.array(sorted(rng.sample(range(n), 20)), dtype=np.int64)
-    got = _kernels._sumset(n, conn, members)
+    got = sumset(n, conn, members)
     assert got.tolist() == sumset_loop(n, conn, members.tolist())
+    assert len(dense_steps) == (1 if extra < 0 else 0)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_step_keeps_a_proper_subset(dense_steps, extra):
+    # the switch of test_sumset_switch, with `keep` half of Z_n: a sparse
+    # step drops the sums outside it before sorting, a dense one masks them
+    n = 100 + extra
+    conn = interval_conn(n, 10)
+    rng = random.Random(-n)
+    members = np.array(sorted(rng.sample(range(n), 20)), dtype=np.int64)
+    keep = np.zeros(n, dtype=np.bool_)
+    keep[rng.sample(range(n), n // 2)] = True
+    got, _ = _kernels._step(n, conn, members, keep)
+    every = sumset_loop(n, conn, members.tolist())
+    want = [v for v in every if keep[v]]
+    assert got.tolist() == want
+    assert 0 < len(want) < len(every)
     assert len(dense_steps) == (1 if extra < 0 else 0)
 
 
@@ -123,14 +146,14 @@ def test_sumset_large_modulus_exact(dense_steps):
     n = 200_003
     members = rng.choice(n, 2000, replace=False)
     conn = rng.choice(n, 500, replace=False)
-    got = _kernels._sumset(n, conn, members)
+    got = sumset(n, conn, members)
     assert len(dense_steps) == 1
     assert np.array_equal(got, np.unique((members[:, None] + conn[None, :]) % n))
 
 
 def test_sumset_empty():
     conn = interval_conn(10, 2)
-    assert _kernels._sumset(10, conn, np.array([], dtype=np.int64)).size == 0
+    assert sumset(10, conn, np.array([], dtype=np.int64)).size == 0
 
 
 def test_semiregular_agreement():
