@@ -11,7 +11,7 @@ tuple with m_1 = 1; enumeration iterates those directly.  A brute-force
 materialize-and-dedup oracle over all phi(d)^l tuples lives in the tests.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
@@ -26,19 +26,13 @@ DEGREE_LIMIT = 2 * 10**6
 
 @dataclass(frozen=True)
 class FrobeniusClass:
-    """One isomorphism class: Cay(Z_n, <h>), h the canonical rotation of order d.
-
-    `n_factors` and `d_factors` are factorize(n) and factorize(d), which the
-    enumeration shares among its classes; a class built without them has
-    them computed when they are needed.
-    """
+    """One isomorphism class, Cay(Z_n, <h>) with h the canonical rotation of
+    order d, as a plain value: equal classes get equal verdicts."""
 
     n: int
     d: int
     h: int
     m_vector: tuple[int, ...]
-    n_factors: Factorization | None = field(default=None, repr=False, compare=False)
-    d_factors: Factorization | None = field(default=None, repr=False, compare=False)
 
     @property
     def subgroup(self) -> tuple[int, ...]:
@@ -124,8 +118,7 @@ def _classes_at(f: Factorization, d: int, comps) -> list[FrobeniusClass]:
         units = [m for m in range(1, d) if gcd(m, d) == 1]
         for _ in range(f.num_primes - 1):
             tuples = [t + (u,) for t in tuples for u in units]
-    fd = factorize(d)
-    classes = [FrobeniusClass(f.n, d, _glue_h(comps, d, m), m, f, fd) for m in tuples]
+    classes = [FrobeniusClass(f.n, d, _glue_h(comps, d, m), m) for m in tuples]
     classes.sort(key=lambda c: c.h)
     return classes
 
@@ -197,11 +190,11 @@ def verify_first_kind_frobenius(c: FrobeniusClass) -> FrobeniusReport:
     """
     h, n, d = c.h, c.n, c.d
     require_unit(h, n)
-    steps = order_steps(h, d, n, (c.d_factors or factorize(d)).primes)
+    steps = order_steps(h, d, n)
     return FrobeniusReport(
         regular_on_s=steps is not None,
         semiregular=steps == (),
         connected=True,
-        degree_bound=d < (c.n_factors or factorize(n)).smallest_prime,
+        degree_bound=d < factorize(n).smallest_prime,
         symmetric=d % 2 == 0 and pow(h, d // 2, n) == n - 1,
     )

@@ -110,7 +110,7 @@ def verify_theorem_q(p: int, e: int, r: int) -> GammaReport:
     q, h, deg = spec.q, spec.h, spec.degree
     t = p ** (r + 1)
     fixed = np.arange(p, q, p, dtype=np.int64)  # F, the nonzero multiples of p, for every r
-    steps = order_steps(h, deg, q, factorize(deg).primes)
+    steps = order_steps(h, deg, q)
     vertex_cut = g.is_vertex_cut(fixed)
     return GammaReport(
         spec=spec,

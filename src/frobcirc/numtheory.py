@@ -2,15 +2,16 @@
 the order test with the fixed point steps, primitive roots, CRT.
 
 Everything here works on plain Python integers, so results are exact at any
-size.  Factorization is deterministic trial division and deliberately capped
-at 10**9; this library targets desk-scale moduli, not cryptographic ones.
-No multiplicative order is computed: each order the package uses is a
-degree its caller holds (|S| for a rotation, d for a class), and
-`order_steps` checks it by `pow` against the primes of that degree, and
-reads a rotation's fixed point steps off the same powers.
+size.  Factorization is deterministic trial division, memoized in a bounded
+cache, and deliberately capped at 10**9; this library targets desk-scale
+moduli, not cryptographic ones.  No multiplicative order is computed: each
+order the package uses is a degree its caller holds (|S| for a rotation, d
+for a class), and `order_steps` checks it by `pow` against the primes of
+that degree, and reads a rotation's fixed point steps off the same powers.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import EvenKernel, NotAUnit
@@ -44,8 +45,9 @@ class Factorization:
         return self.factors[0][0]
 
 
+@lru_cache
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division up to sqrt(n)."""
+    """Factor n >= 1 by trial division up to sqrt(n); the last 128 results are kept."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     if n > FACTOR_LIMIT:
@@ -72,14 +74,14 @@ def require_unit(a: int, m: int):
         raise NotAUnit(f"{a} is not a unit mod {m}")
 
 
-def order_steps(x: int, d: int, n: int, primes) -> tuple[int, ...] | None:
+def order_steps(x: int, d: int, n: int) -> tuple[int, ...] | None:
     """None unless x has order d mod n, else the distinct m_l < n, ascending, of
-    m_l = n / gcd(n, x^(d/l) - 1), l in `primes`, the primes of d: the fixed point
-    steps (rotation.RotationReport).  m_l = 1 iff x^(d/l) = 1, so x has order d
+    m_l = n / gcd(n, x^(d/l) - 1), l a prime of d: the fixed point steps
+    (rotation.RotationReport).  m_l = 1 iff x^(d/l) = 1, so x has order d
     iff x^d = 1 and no m_l is 1, as a proper divisor of d divides some d/l."""
     if pow(x, d, n) != 1:
         return None
-    steps = {n // gcd(n, pow(x, d // l, n) - 1) for l in primes}
+    steps = {n // gcd(n, pow(x, d // l, n) - 1) for l in factorize(d).primes}
     return None if 1 in steps else tuple(sorted(steps - {n}))
 
 
@@ -94,9 +96,8 @@ def primitive_root(p: int, e: int = 1) -> int:
         raise ValueError(f"exponent {e} must be >= 1")
     m = p**e
     phi = p ** (e - 1) * (p - 1)
-    primes = factorize(phi).primes
     for eta in range(2, m):
-        if order_steps(eta, phi, m, primes) is not None:  # None for a multiple of p
+        if order_steps(eta, phi, m) is not None:  # None for a multiple of p
             return eta
     raise ValueError(f"no primitive root found mod {p}^{e}")  # unreachable for odd p
 

@@ -39,9 +39,9 @@ def report_calls(monkeypatch):
     tests an order and reads the fixed point steps in one pass."""
     calls = []
 
-    def counted(x, d, n, primes, original=rotation.order_steps):
+    def counted(x, d, n, original=rotation.order_steps):
         calls.append((n, x))
-        return original(x, d, n, primes)
+        return original(x, d, n)
 
     monkeypatch.setattr(rotation, "order_steps", counted)
     return calls

@@ -67,43 +67,58 @@ MUTANTS = [
     Mutant(
         "order_steps_cofactor",
         NUMTHEORY,
-        "{n // gcd(n, pow(x, d // l, n) - 1) for l in primes}",
-        "{gcd(n, pow(x, d // l, n) - 1) for l in primes}",
+        "{n // gcd(n, pow(x, d // l, n) - 1) for l in factorize(d).primes}",
+        "{gcd(n, pow(x, d // l, n) - 1) for l in factorize(d).primes}",
         (HAS_ORDER, ORBIT_WALK),
+    ),
+    Mutant(
+        "order_steps_smallest_prime_only",
+        NUMTHEORY,
+        "factorize(d).primes}",
+        "factorize(d).primes[:1]}",
+        (HAS_ORDER,),
+    ),
+    Mutant(
+        # no memo: a query factors a number each time it meets it
+        "factorize_unshared",
+        NUMTHEORY,
+        "@lru_cache\ndef factorize(",
+        "def factorize(",
+        (
+            "tests/test_numtheory.py::TestFactorize::test_memo_keeps_python_ints",
+            "tests/test_cli.py::TestVerify::test_degree_factored_once",
+        ),
     ),
     Mutant(
         "primitive_root_modulus_p",
         NUMTHEORY,
-        "order_steps(eta, phi, m, primes)",
-        "order_steps(eta, phi, p, primes)",
+        "order_steps(eta, phi, m)",
+        "order_steps(eta, phi, p)",
         ("tests/test_numtheory.py::TestPrimitiveRoot::test_generates_full_unit_group",),
     ),
     Mutant(
         "complete_rotation_modulus_n",
         ROTATION,
-        "order_steps(w, g.degree, n // gcd(conn[0], n),",
-        "order_steps(w, g.degree, n,",
+        "order_steps(w, g.degree, n // gcd(conn[0], n))",
+        "order_steps(w, g.degree, n)",
         (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
     ),
     Mutant(
         "complete_rotation_degree_of_the_walk",
         ROTATION,
-        "order_steps(w, g.degree, n // gcd(conn[0], n),",
-        "order_steps(w, g.degree - 1, n // gcd(conn[0], n),",
+        "order_steps(w, g.degree, n // gcd(conn[0], n))",
+        "order_steps(w, g.degree - 1, n // gcd(conn[0], n))",
         (f"{T_ROTATION}::TestIsCompleteRotation::test_every_symmetric_set_and_unit_up_to_14",),
     ),
     Mutant(
         # the certificate reads its steps mod n again instead of taking the
-        # rotation check's, read mod n / gcd(s0, n): a second order test
-        # and a third factorization of |S| per verify query
+        # rotation check's, read mod n / gcd(s0, n): a second order test per
+        # verify query (the factoring it repeats is a cache hit)
         "certificate_steps_recomputed_mod_n",
         ROTATION,
         "rep = RotationReport(g.n, w % g.n, g.degree, steps)",
         "rep = rotation_report(g.n, w, g.degree)",
-        (
-            f"{T_ROTATION}::TestGossipCertificate::test_one_report_and_w_read_mod_n",
-            "tests/test_cli.py::TestVerify::test_degree_factored_at_most_twice",
-        ),
+        (f"{T_ROTATION}::TestGossipCertificate::test_one_report_and_w_read_mod_n",),
     ),
     Mutant(
         "report_order_unchecked",
@@ -129,8 +144,8 @@ MUTANTS = [
     Mutant(
         "gamma_degree_modulus_q_over_p",
         "src/frobcirc/gamma.py",
-        "order_steps(h, deg, q, factorize(deg).primes)",
-        "order_steps(h, deg, q // p, factorize(deg).primes)",
+        "order_steps(h, deg, q)",
+        "order_steps(h, deg, q // p)",
         ("tests/test_gamma.py::TestDichotomy::test_vertex_cut_iff_r_positive",),
     ),
     Mutant(

@@ -223,6 +223,12 @@ class TestVerify:
             report = verify_first_kind_frobenius(c)
             assert report.ok, (c.d, c.h, report)
 
+    def test_a_class_is_its_value(self):
+        # no field beyond (n, d, h, m_vector), so equal classes get equal
+        # verdicts: 12 has order 2 mod 13, not 4, whatever else a class holds
+        assert [f.name for f in fields(FrobeniusClass)] == ["n", "d", "h", "m_vector"]
+        assert not verify_first_kind_frobenius(FrobeniusClass(13, 4, 12, (1,))).regular_on_s
+
     def test_nine_cycle_passes(self):
         c = FrobeniusClass(9, 2, 8, (1,))
         assert verify_first_kind_frobenius(c).ok

@@ -13,9 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frobcirc
-from frobcirc import _kernels, classifier, cli, gamma, rotation
+from frobcirc import _kernels, classifier, cli, gamma
 from frobcirc.circulant import Circulant
 from frobcirc.cli import build_parser, main, signed_form
+from frobcirc.numtheory import factorize
 
 SRC = os.path.dirname(os.path.dirname(frobcirc.__file__))
 with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as fh:
@@ -318,20 +319,22 @@ class TestVerify:
         assert report_calls == reported
 
     @pytest.mark.parametrize(
-        "argv", [["verify", "19", "1,7,8,11,12,18"], ["verify", "27", "1,8,10,17,19,26"]]
+        "argv, misses",
+        [
+            # |S| = 6, factored by find_all_rotations; the certificate's
+            # order test reads it from the cache
+            (["verify", "19", "1,7,8,11,12,18"], 1),
+            (["verify", "27", "1,8,10,17,19,26"], 1),
+            # 1009 * 2017: n, its 24 admissible degrees and phi(2017) = 2016;
+            # phi(1009) = 1008 is a degree
+            (["classify", "2035153", "--format", "csv"], 26),
+        ],
     )
-    def test_degree_factored_at_most_twice(self, monkeypatch, argv):
-        # once by find_all_rotations, once by the certificate's rotation check
-        factored = []
-
-        def counted(n, original=rotation.factorize):
-            factored.append(n)
-            return original(n)
-
-        monkeypatch.setattr(rotation, "factorize", counted)
+    def test_degree_factored_once(self, argv, misses):
+        factorize.cache_clear()
         code, _ = run(argv)
         assert code == 0
-        assert len(factored) <= 2
+        assert factorize.cache_info().misses == misses
 
 
 class TestGamma:

@@ -1,9 +1,10 @@
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import euler_phi, multiplicative_order, ord_p, prime_divisors
+from oracles import euler_phi, multiplicative_order, ord_p
 
 from frobcirc.errors import EvenKernel
 from frobcirc.numtheory import (
@@ -42,6 +43,13 @@ class TestFactorize:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             factorize(10**9 + 1)
+
+    def test_memo_keeps_python_ints(self):
+        # the memo tells numpy.int64(15) from 15: a Factorization records its
+        # n, and cli._write_json prints only real ints
+        factorize.cache_clear()
+        factorize(np.int64(15))
+        assert type(factorize(15).n) is int
 
     @given(st.integers(min_value=2, max_value=100_000))
     def test_reconstructs_n(self, n):
@@ -86,13 +94,13 @@ class TestHasOrder:
                 if gcd(x, n) != 1:
                     continue
                 order = multiplicative_order(x, n)
-                got = [d for d in divisors if order_steps(x, d, n, prime_divisors(d)) is not None]
+                got = [d for d in divisors if order_steps(x, d, n) is not None]
                 assert got == [order], (x, n)
                 checked += len(divisors)
         assert checked > 50000
 
     def test_non_unit_has_no_order(self):
-        assert all(order_steps(6, d, 9, prime_divisors(d)) is None for d in (1, 2, 3, 6))
+        assert all(order_steps(6, d, 9) is None for d in (1, 2, 3, 6))
 
 
 class TestEulerPhi:
