@@ -8,16 +8,18 @@ at any n >= 3; the queries that build arrays of length n need n <= SEARCH_LIMIT.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from . import _kernels
 from .errors import DegenerateCut, Disconnected
 
-# Largest n searched, the one cap on arrays of length n, on F, on the rotations
-# of a disconnected graph and on q (gamma).  Fresh process, shared 2-vCPU machine:
+# The one cap on a list of residues held at once: on n searched (arrays of
+# length n), on F, on the rotations of a disconnected graph, on q (gamma) and
+# on the class degree d (classify).  Fresh process, shared 2-vCPU machine:
 # `gamma 3 12 0` 0.24-0.26 s at 60 MB peak RSS, `gamma 3 13 0` 0.44-0.53 s at
-# 121 MB, `gamma 3 13 1` 0.50-0.58 s at 154 MB.  Below 2^31 (see _kernels).
+# 121 MB, `gamma 3 13 1` 0.50-0.58 s at 154 MB; `classify 1999993`, whose K_p
+# has d = 1,999,992, 3.0-4.3 s at 192 MB (4.4-7.0 s at 287 MB with --format
+# json).  Below 2^31 (see _kernels).
 SEARCH_LIMIT = 2 * 10**6
 
 
@@ -42,15 +44,6 @@ class Circulant:
         if conn != tuple(self.n - s for s in reversed(conn)):
             raise ValueError("connection set is not symmetric under negation")
         object.__setattr__(self, "conn", conn)
-
-    @cached_property
-    def _conn_arr(self):
-        """conn as an int64 array for the kernels, built on the first kernel
-        call, so that a graph that is only validated and read (`harts`,
-        `verify` with no fixed points) never loads numpy."""
-        import numpy as np
-
-        return np.array(self.conn, dtype=np.int64)
 
     @property
     def degree(self) -> int:
@@ -89,8 +82,10 @@ class Circulant:
     def _distances(self, source: int, blocked):
         """BFS distances from the vertex `source`, the vertices of the bool
         mask `blocked` removed, as an int64 array."""
+        import numpy as np
+
         (source,) = self._vertices((source,)).tolist()
-        return _kernels.bfs_distances(self.n, self._conn_arr, source, blocked)
+        return _kernels.bfs_distances(self.n, np.array(self.conn, np.int64), source, blocked)
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
@@ -107,7 +102,7 @@ class Circulant:
                 return True
         return False
 
-    is_connected_gcd = is_connected  # the criterion's earlier name, kept for callers
+    is_connected_gcd = is_connected  # no caller: kept while perfbench/tracer.py wraps it by name
 
     def is_independent_set(self, members) -> bool:
         """No two members adjacent: no vertex of the member set F lies in
@@ -115,9 +110,11 @@ class Circulant:
         Members must be vertices in [0, n).  When S = s0 G for a group G of
         units that maps F onto itself, `rotation.invariant_set_independent`
         answers with one translate."""
+        import numpy as np
+
         vs = self._vertices(members)
-        mask = self._mask(vs)  # before _conn_arr: the search limit refuses first
-        return not _kernels._step(self.n, self._conn_arr, vs, mask)[0].size
+        mask = self._mask(vs)  # before S is copied: the search limit refuses first
+        return not _kernels._step(self.n, np.array(self.conn, np.int64), vs, mask)[0].size
 
     def is_vertex_cut(self, members) -> bool:
         """Does removing `members` disconnect the graph?  Requires a connected

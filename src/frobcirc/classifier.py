@@ -14,14 +14,10 @@ materialize-and-dedup oracle over all phi(d)^l tuples lives in the tests.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .circulant import SEARCH_LIMIT
 from .errors import BadExponent, EvenKernel, InadmissibleDegree
 from .numtheory import Factorization, crt_combine, factorize, order_steps
 from .numtheory import primitive_root, require_unit
-
-# Largest degree enumerated.  In a fresh process on a shared 2-vCPU machine
-# `classify 1999993`, whose K_p has d = 1,999,992, takes 3.0-4.3 s at 192 MB
-# peak RSS (4.4-7.0 s at 287 MB with --format json).
-DEGREE_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,12 @@ class FrobeniusClass:
         return subgroup_of(self.h, self.n)
 
 
-def _check_odd(f: Factorization):
+def max_degree_D(f: Factorization) -> int:
+    """D = gcd(p_1 - 1, ..., p_l - 1)."""
     if f.n < 3:
         raise ValueError(f"modulus {f.n} must be >= 3")
     if f.n % 2 == 0:
         raise EvenKernel(f"kernel modulus {f.n} is even")
-
-
-def max_degree_D(f: Factorization) -> int:
-    """D = gcd(p_1 - 1, ..., p_l - 1)."""
-    _check_odd(f)
     D = 0
     for p, _ in f.factors:
         D = gcd(D, p - 1)
@@ -79,8 +71,7 @@ def _glue_h(comps, d: int, m: tuple[int, ...]) -> int:
 
 
 def _check_degree(f: Factorization, d: int):
-    _check_odd(f)
-    if d % 2 != 0 or max_degree_D(f) % d != 0:
+    if d not in admissible_degrees(f):
         raise InadmissibleDegree(f"degree {d} is not an even divisor of D for n={f.n}")
 
 
@@ -107,19 +98,22 @@ def subgroup_of(h: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
-def _check_limit(d: int):
-    if d > DEGREE_LIMIT:
-        raise ValueError(f"degree {d} exceeds the supported limit {DEGREE_LIMIT}")
-
-
-def _classes_at(f: Factorization, d: int, comps) -> list[FrobeniusClass]:
-    tuples = [(1,)]
-    if f.num_primes > 1:
-        units = [m for m in range(1, d) if gcd(m, d) == 1]
-        for _ in range(f.num_primes - 1):
-            tuples = [t + (u,) for t in tuples for u in units]
-    classes = [FrobeniusClass(f.n, d, _glue_h(comps, d, m), m) for m in tuples]
-    classes.sort(key=lambda c: c.h)
+def _classes(f: Factorization, degrees: list[int]) -> list[FrobeniusClass]:
+    """The classes at each of the ascending admissible `degrees`, ascending by
+    (d, h).  A largest degree above SEARCH_LIMIT raises ValueError before any
+    class is built, and the primitive roots are found once for all degrees."""
+    if degrees[-1] > SEARCH_LIMIT:
+        raise ValueError(f"degree {degrees[-1]} exceeds the supported limit {SEARCH_LIMIT}")
+    comps = _local_components(f)
+    classes = []
+    for d in degrees:
+        tuples = [(1,)]
+        if f.num_primes > 1:
+            units = [m for m in range(1, d) if gcd(m, d) == 1]
+            for _ in range(f.num_primes - 1):
+                tuples = [t + (u,) for t in tuples for u in units]
+        at_d = [FrobeniusClass(f.n, d, _glue_h(comps, d, m), m) for m in tuples]
+        classes += sorted(at_d, key=lambda c: c.h)
     return classes
 
 
@@ -128,23 +122,17 @@ def enumerate_classes(f: Factorization, d: int) -> list[FrobeniusClass]:
 
     The canonical representative of each class is the h built from the
     m-tuple with m_1 = 1 (every class contains exactly one such tuple).
-    A degree above DEGREE_LIMIT raises ValueError.
+    A degree that is not admissible raises InadmissibleDegree, and one above
+    SEARCH_LIMIT raises ValueError.
     """
     _check_degree(f, d)
-    _check_limit(d)
-    return _classes_at(f, d, _local_components(f))
+    return _classes(f, [d])
 
 
 def all_classes(f: Factorization) -> list[FrobeniusClass]:
-    """Classes for every admissible degree, ascending by (d, h).
-
-    The primitive roots are found once for all degrees, and a largest
-    degree above DEGREE_LIMIT raises ValueError before any class is built.
-    """
-    degrees = admissible_degrees(f)
-    _check_limit(degrees[-1])
-    comps = _local_components(f)
-    return [c for d in degrees for c in _classes_at(f, d, comps)]
+    """Classes for every admissible degree, ascending by (d, h); a largest
+    degree above SEARCH_LIMIT raises ValueError before any class is built."""
+    return _classes(f, admissible_degrees(f))
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,6 @@ def cmd_classify(args, out) -> int:
             file=sys.stderr,
         )
         return 1
-    # a degree above DEGREE_LIMIT is refused here, before any class is built
     classes = all_classes(f) if args.degree is None else enumerate_classes(f, args.degree)
     oracle = args.oracle
     if oracle is None:

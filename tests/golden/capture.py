@@ -72,7 +72,7 @@ QUERIES = (
         ["classify", "2477", "--format", "table"],
         ["classify", "2999", "--format", "csv"],
     ]
-    # the limits: a degree above DEGREE_LIMIT exits 2, while degree 2 of the
+    # the limits: a degree above SEARCH_LIMIT exits 2, while degree 2 of the
     # same prime, with or without the oracle, answers; so do the TL diameter
     # at n near 3 * 10^18 and 3 * 10^20 and a verify that searches nothing;
     # verify on the cycle on 2^64 + 1 answers too, as n is never factored:

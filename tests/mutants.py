@@ -218,20 +218,29 @@ MUTANTS = [
         # every vertex of F + S kept, so any nonempty F reads as not independent
         "independence_keeps_every_vertex",
         "src/frobcirc/circulant.py",
-        "_step(self.n, self._conn_arr, vs, mask)",
-        "_step(self.n, self._conn_arr, vs, mask | True)",
+        "_step(self.n, np.array(self.conn, np.int64), vs, mask)",
+        "_step(self.n, np.array(self.conn, np.int64), vs, mask | True)",
         (
             "tests/test_circulant.py::TestIndependentSet::test_fixed_points_of_gamma_27_0",
             "tests/test_circulant.py::TestIndependentSet::test_gamma_multiples_of_p",
         ),
     ),
     Mutant(
+        # the golden `classify 999999937` is still refused (999999936 > 2 * 10**7),
+        # so only a degree between the cap and ten times the cap sees this
         "degree_limit_tenfold",
         CLASSIFIER,
-        "DEGREE_LIMIT = 2 * 10**6",
-        "DEGREE_LIMIT = 2 * 10**7",
-        # the golden record pins the refusal's message, limit included
-        ("tests/test_cli.py::test_golden_output_is_byte_identical[classify 999999937]",),
+        "if degrees[-1] > SEARCH_LIMIT:",
+        "if degrees[-1] > 10 * SEARCH_LIMIT:",
+        ("tests/test_classifier.py::TestEnumerate::test_smallest_degree_above_the_limit",),
+    ),
+    Mutant(
+        # the parity-and-divisibility test: D % d is 0 at d = -2, and d = 0 divides by zero
+        "admissible_by_divisibility",
+        CLASSIFIER,
+        "if d not in admissible_degrees(f):",
+        "if d % 2 != 0 or max_degree_D(f) % d != 0:",
+        ("tests/test_classifier.py::TestConstructH::test_degree_not_positive",),
     ),
     Mutant(
         "subgroup_cached",

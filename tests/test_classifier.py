@@ -15,10 +15,9 @@ from oracles import (
 )
 
 from frobcirc import classifier, cli
-from frobcirc.circulant import Circulant
+from frobcirc.circulant import SEARCH_LIMIT, Circulant
 from frobcirc.cli import class_record
 from frobcirc.classifier import (
-    DEGREE_LIMIT,
     FrobeniusClass,
     FrobeniusReport,
     admissible_degrees,
@@ -113,6 +112,18 @@ class TestConstructH:
         with pytest.raises(InadmissibleDegree):
             construct_h(F6253, 3, (1, 1))
 
+    @pytest.mark.parametrize("d", [0, -2])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda f, d: construct_h(f, d, (1,)), enumerate_classes],
+        ids=["construct_h", "enumerate_classes"],
+    )
+    def test_degree_not_positive(self, build, d):
+        # D % d is 0 for d = -2 and undefined for d = 0: only the list of
+        # admissible degrees refuses both
+        with pytest.raises(InadmissibleDegree):
+            build(factorize(13), d)
+
 
 class TestEnumerate:
     def test_table1_rows(self):
@@ -170,8 +181,15 @@ class TestEnumerate:
             m.setattr(classifier, "FrobeniusClass", no_class)
             with pytest.raises(ValueError, match="degree 999999936 exceeds the supported limit"):
                 all_classes(f)
-        assert DEGREE_LIMIT < 999999936
+        assert SEARCH_LIMIT < 999999936
         assert [c.subgroup for c in enumerate_classes(f, 2)] == [(1, 999999936)]
+
+    def test_smallest_degree_above_the_limit(self):
+        # 2008032 is the smallest admissible degree of 999999937 above SEARCH_LIMIT
+        f = factorize(999999937)
+        assert min(d for d in admissible_degrees(f) if d > SEARCH_LIMIT) == 2008032
+        with pytest.raises(ValueError, match="degree 2008032 exceeds the supported limit 2000000"):
+            enumerate_classes(f, 2008032)
 
     def test_complete_from_the_definition(self):
         """Every rotational first-kind Frobenius circulant on Z_n, odd n < 400,
@@ -322,13 +340,13 @@ class TestVerify:
         assert class_record(c, oracle=False)["frobenius"] is True
 
     def test_largest_degree_reads_no_element_of_s(self, monkeypatch):
-        # K_1999993, d = 1999992 = DEGREE_LIMIT - 8: one class, h a primitive root
+        # K_1999993, d = 1999992 = SEARCH_LIMIT - 8: one class, h a primitive root
         def no_walk(h, n):
             raise AssertionError("S was walked")
 
         monkeypatch.setattr(classifier, "subgroup_of", no_walk)
         (c,) = enumerate_classes(factorize(1999993), 1999992)
-        assert c.d <= DEGREE_LIMIT
+        assert c.d <= SEARCH_LIMIT
         assert verify_first_kind_frobenius(c).ok
         assert multiplicative_order(c.h, c.n) == c.d
 

@@ -129,7 +129,7 @@ class TestClassify:
             assert code == 0
 
     def test_oracle_needs_no_modulus_cap(self, capsys):
-        # one gcd per element of S, so --oracle is bounded by DEGREE_LIMIT
+        # one gcd per element of S, so --oracle is bounded by SEARCH_LIMIT
         # alone: the cycle class of a prime near 10^9, S = {1, n - 1}, is Frobenius
         argv = ["classify", "999999937", "--degree", "2", "--oracle", "--format", "json"]
         code, text = run(argv)
