@@ -7,7 +7,9 @@ Subcommands:
   harts K      hexagonal-mesh report and its TL isomorphism
 
 Exit codes: 0 success, 1 legitimately empty result, 2 input error, 141 the
-reader closed stdout.
+reader closed stdout.  A malformed argv (an unknown command, a missing or
+extra argument, a non-integer, a bad --format) exits 2 with argparse's usage
+line on stderr; -h before or after the command prints help and exits 0.
 """
 
 import argparse
@@ -271,7 +273,8 @@ def cmd_harts(args, out) -> int:
 
 
 @functools.cache  # built on the first call, not at import
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="frobcirc",
         description="Rotational first-kind Frobenius circulants: classification and certificates",
@@ -301,12 +304,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_harts = sub.add_parser("harts", help="hexagonal mesh report")
     p_harts.add_argument("k", type=int)
     p_harts.set_defaults(func=cmd_harts)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h or an unknown command
+        args = parser.parse_args(argv)
+    else:
+        # what parser.parse_args does with a known command, in one parse of
+        # argv, not two: the top-level parser hands the tail to the
+        # subcommand's parser and reports what that leaves over
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     out = out or sys.stdout
     try:
         code = args.func(args, out)

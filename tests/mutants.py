@@ -44,8 +44,10 @@ NUMTHEORY = "src/frobcirc/numtheory.py"
 ROTATION = "src/frobcirc/rotation.py"
 CLASSIFIER = "src/frobcirc/classifier.py"
 KERNELS = "src/frobcirc/_kernels.py"
+CLI = "src/frobcirc/cli.py"
 T_ROTATION = "tests/test_rotation.py"
 T_KERNELS = "tests/test_kernels.py"
+T_CLI = "tests/test_cli.py"
 HAS_ORDER = "tests/test_numtheory.py::TestHasOrder::test_every_unit_and_divisor_of_phi_below_200"
 ORBIT_WALK = T_ROTATION + "::TestFixedSteps::test_against_the_orbit_walk_below_120"
 
@@ -86,7 +88,7 @@ MUTANTS = [
         "def factorize(",
         (
             "tests/test_numtheory.py::TestFactorize::test_memo_keeps_python_ints",
-            "tests/test_cli.py::TestVerify::test_degree_factored_once",
+            T_CLI + "::TestVerify::test_degree_factored_once",
         ),
     ),
     Mutant(
@@ -247,7 +249,23 @@ MUTANTS = [
         CLASSIFIER,
         "@property\n    def subgroup(",
         "@__import__(\"functools\").cached_property\n    def subgroup(",
-        ("tests/test_cli.py::TestStream::test_peak_is_that_of_the_largest_class",),
+        (T_CLI + "::TestStream::test_peak_is_that_of_the_largest_class",),
+    ),
+    Mutant(
+        # `classify 91 extra` runs instead of exiting 2
+        "dispatch_drops_extra_arguments",
+        CLI,
+        "if extra:\n            parser.error(",
+        "if False:\n            parser.error(",
+        (T_CLI + "::TestDispatch::test_matches_the_top_level_parser",),
+    ),
+    Mutant(
+        # same output, but every query is parsed twice
+        "dispatch_through_top_level",
+        CLI,
+        "command = commands.get(argv[0]) if argv else None",
+        "command = None",
+        (T_CLI + "::TestDispatch::test_known_command_skips_the_top_level_parse",),
     ),
 ]
 

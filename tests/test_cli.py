@@ -459,6 +459,7 @@ def run_fresh(args):
 class TestParserReuse:
     def test_parser_built_once_and_not_at_import(self):
         assert build_parser() is build_parser()
+        assert list(build_parser()[1]) == ["classify", "verify", "gamma", "harts"]
         code, out, _ = run_fresh(
             ["-c", "import frobcirc.cli as c; print(c.build_parser.cache_info().currsize)"]
         )
@@ -482,7 +483,78 @@ class TestParserReuse:
             assert run_in_process(argv) == run_fresh(["-m", "frobcirc.cli", *argv]), argv
 
 
+def run_top_level(argv):
+    """(exit code, stdout, stderr) of argv parsed as argparse alone would:
+    the top-level parser's parse_args, then the command it selects."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = build_parser()[0].parse_args(argv)
+            code = args.func(args, sys.stdout)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 GOLDEN_BY_ARGV = {tuple(r["argv"]): r for r in GOLDEN}
+
+
+class TestDispatch:
+    """main hands a known command's argv tail straight to that command's
+    parser; everything else goes through the top-level parser."""
+
+    WELL_FORMED = [
+        ["classify", "91", "--format", "json"],
+        ["verify", "19", "1,7,8,11,12,18"],
+        ["gamma", "3", "3", "0"],
+        ["harts", "3"],
+    ]
+
+    # compared live, so the reference is whichever argparse runs the test
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["--he"],
+            ["-h", "harts"],
+            ["frobnicate"],
+            ["classify"],
+            ["classify", "x"],
+            ["classify", "91", "extra"],
+            ["classify", "91", "--format", "xml"],
+            ["classify", "91", "--oracle", "--no-oracle"],
+            ["classify", "91", "--form", "csv"],
+            ["classify", "91", "--bogus"],
+            ["classify", "--", "91"],
+            ["classify", "91", "--", "--format"],
+            ["classify", "91", "--degree"],
+            ["classify", "91", "--degree", "6", "--format=csv"],
+            ["classify", "-5"],
+            ["verify", "19"],
+            ["verify", "19", "1,7,8,11,12,18", "zz"],
+            ["gamma", "3", "3"],
+            ["gamma", "3", "3", "0", "1"],
+            ["harts"],
+            ["harts", "3", "-h"],
+            ["harts", "3", "--he"],
+            *WELL_FORMED,
+        ],
+        ids=" ".join,
+    )
+    def test_matches_the_top_level_parser(self, argv):
+        assert run_in_process(argv) == run_top_level(argv)
+
+    def test_known_command_skips_the_top_level_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a known command")
+
+        monkeypatch.setattr(build_parser()[0], "parse_args", refuse)
+        for argv in self.WELL_FORMED:
+            want = GOLDEN_BY_ARGV[tuple(argv)]
+            assert run_in_process(argv) == (0, want["stdout"], want["stderr"]), argv
+
 
 # Runs main on each argv of the JSON list in sys.argv[1]; prints, as JSON,
 # whether numpy was loaded after the import and after each query, and each
